@@ -2,27 +2,20 @@
 differential-drive robot model."""
 
 from .control import (
-    DelayLine,
     Gain,
-    InsufficientHistoryError,
-    RegulatorModeError,
-    RegulatorState,
+    Predictor,
     Setpoint,
     UnsupportedStructureError,
+    delay_steps,
     design_gain,
     equilibrium_input,
     make_setpoint,
-    naive_control,
-    predict_state,
-    regulator_control,
-    regulator_step,
 )
 from .robot import (
     LtiPlant,
     Pose,
     RobotControl,
     RobotParams,
-    RobotState,
     WheelForces,
     actuator_forces,
     integrate_pose,
@@ -36,7 +29,6 @@ from .sim import (
     compute_metrics,
     run,
     step_plant,
-    step_plant_rk4,
     sweep_delay,
 )
 from .smallmat import SingularMatrixError, is_hurwitz, mat_exp, solve, zoh_discretize

@@ -11,13 +11,14 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import design_gain, make_setpoint
+from .control import delay_steps, design_gain, make_setpoint
 from .robot import RobotParams, params_to_lti
 from .sim import CONTROLLERS, Metrics, Scenario, Trajectory, run, sweep_delay
 
@@ -92,9 +93,12 @@ def parse_config(text: str) -> Config:
         if key not in raw:
             return default
         try:
-            return float(raw[key])
+            value = float(raw[key])
         except ValueError:
             raise ConfigError(key, f"non-numeric value {raw[key]!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(key, f"must be finite, got {raw[key]!r}")
+        return value
 
     def positive(key: str, value: float) -> float:
         if not value > 0:
@@ -127,9 +131,10 @@ def parse_config(text: str) -> Config:
     horizon = number("horizon", 10.0)
     if not horizon >= dt:
         raise ConfigError("horizon", f"must be >= dt, got {horizon:g}")
-    n_delay = round(delay / dt)
-    if abs(n_delay * dt - delay) > 1e-9:
-        raise ConfigError("delay", f"delay {delay:g} must be an integer multiple of dt {dt:g}")
+    try:
+        delay_steps(delay, dt)
+    except ValueError as exc:
+        raise ConfigError("delay", str(exc)) from None
 
     poles_text = raw.get("poles", "-5,-5")
     parts = [p.strip() for p in poles_text.split(",")]
@@ -140,8 +145,8 @@ def parse_config(text: str) -> Config:
     except ValueError:
         raise ConfigError("poles", f"non-numeric value {poles_text!r}") from None
     for p in poles:
-        if not p < 0:
-            raise ConfigError("poles", f"pole must be negative, got {p:g}")
+        if not -math.inf < p < 0:
+            raise ConfigError("poles", f"pole must be finite and negative, got {p:g}")
 
     controller = raw.get("controller", "predictor-window")
     if controller not in CONTROLLERS:
@@ -172,16 +177,21 @@ def build_scenario(config: Config, controller: str | None = None, delay: float |
     plant = params_to_lti(config.params, config.delay if delay is None else delay)
     gain = design_gain(plant, config.poles)
     setpoint = make_setpoint(plant, [config.v_ref, config.w_ref])
-    return Scenario(
-        plant=plant,
-        gain=gain,
-        setpoint=setpoint,
-        controller=controller or config.controller,
-        x0=np.array([config.v0, config.w0]),
-        dt=config.dt,
-        T=config.horizon,
-        e_max=config.e_max,
-    )
+    try:
+        return Scenario(
+            plant=plant,
+            gain=gain,
+            setpoint=setpoint,
+            controller=controller or config.controller,
+            x0=np.array([config.v0, config.w0]),
+            dt=config.dt,
+            T=config.horizon,
+            e_max=config.e_max,
+        )
+    except ValueError as exc:
+        # parse_config has validated every other field, so what is left is
+        # the z form's bound on the horizon
+        raise ConfigError("horizon", str(exc)) from None
 
 
 def _fmt(value: float) -> str:
@@ -342,7 +352,7 @@ def main(argv=None) -> int:
             return cmd_compare(config)
         if args.command == "sweep":
             return cmd_sweep(config, args.h_min, args.h_max, args.steps)
-    except _UsageError as exc:
+    except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -1,5 +1,4 @@
-"""Gain design, setpoint handling, the delay line, the state predictor and
-the delay-compensating regulator.
+"""Gain design, setpoint handling and the state predictor.
 
 The controller for the delayed plant dx/dt = A x + B u(t-h) is predictor
 feedback: apply the stabilizing state feedback not to the measured state but
@@ -7,48 +6,52 @@ to its exact h-second-ahead forecast
 
     xhat(t+h) = e^{Ah} x(t) + integral_{t-h}^{t} e^{A(t-theta)} B u(theta) dtheta,
 
-which under zero-order-hold inputs collapses to a finite sum over the last
-N = h/dt applied controls. Two realizations of the same control law are
-provided:
+which under zero-order-hold inputs collapses to the finite sum
+xhat(t+h) = Ad^N x + sum_i Ad^{N-1-i} Bd u_i over the last N = h/dt applied
+controls. The sum is the exact forecast, not a quadrature of the distributed
+delay, so the instability of approximated distributed-delay laws does not
+apply. :class:`Predictor` precomputes Ad^N and G = [Ad^{N-1} Bd ... Bd] once
+per (plant, dt) and offers two realizations of the same forecast:
 
-- window form (default): the sliding integral above, whose exponential
-  argument is bounded by h;
+- window form (default): Ad^N x + G w, where w is the contiguous window of
+  the last N rows of the run's step-indexed control record; every
+  exponential argument is bounded by h;
 - z form: the literal dynamic-regulator realization through the auxiliary
   running integral z(t) = integral_0^t e^{-A theta} B u(theta) dtheta, with
   xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] and z identically zero on
   [-h, 0]. The separate e^{At} / e^{-At} factors grow without bound for
-  non-neutral A, so the z form is only advisable on short horizons; it is
-  kept because the window form is validated against it.
+  non-neutral A, so the z form is limited to horizons with
+  ||A||_inf T <= ZFORM_MAX_EXPONENT; it is kept because the window form is
+  validated against it.
+
+:func:`delay_steps` is the one place that turns a delay h into the step count
+N, and rejects a delay that is not an integer multiple of dt.
 
 Nonzero setpoints are handled by an affine shift: with u* = -B^{-1} A x*, the
 shifted pair (x - x*, u - u*) satisfies the origin-stabilization problem, so
-the delay line is prefilled with u* and the regulator works on deviations.
+the control record starts with N rows of u* and the feedback acts on
+deviations.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .robot import LtiPlant
 from .smallmat import as_vector, is_hurwitz, mat_exp, solve, zoh_discretize
 
-_H_ALIGN_TOL = 1e-9
+# Largest ||A||_inf T a z-form scenario may have. It keeps e^{+-At} below
+# e^600 ~ 4e260, and bounds |z(t)| <= ||B|| max|u - u*| t e^{||A|| t}, so
+# neither overflows while ||B|| max|u - u*| T stays below e^109 ~ 2e47. The
+# float limit itself is log(float max) ~ 709.78.
+ZFORM_MAX_EXPONENT = 600.0
 
 
 class UnsupportedStructureError(ValueError):
     """Plant structure outside what the closed-form design handles."""
-
-
-class InsufficientHistoryError(ValueError):
-    """Delay line does not cover the requested time window."""
-
-
-class RegulatorModeError(RuntimeError):
-    """Operation applied to a regulator state in the wrong mode."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,193 +145,51 @@ def origin_setpoint(plant: LtiPlant) -> Setpoint:
     return Setpoint(np.zeros(plant.n), np.zeros(plant.m_in))
 
 
-class DelayLine:
-    """Zero-order-hold history of applied controls.
+def delay_steps(h: float, dt: float) -> int:
+    """Delay depth N = h/dt; raises ValueError unless h is an integer
+    multiple of dt (to 1e-9 s)."""
+    n = round(h / dt)
+    if abs(n * dt - h) > 1e-9:
+        raise ValueError(f"delay h={h:g} is not an integer multiple of dt={dt:g}")
+    return n
 
-    ``depth`` is N = h/dt. The line stores N+1 samples: the N samples whose
-    hold intervals tile [t-h, t) plus the newest push holding [t, t+dt), where
-    ``t`` is the timestamp of the newest push. Keeping the extra sample lets
-    the plant read u(t-h) after the current control has been pushed, while the
-    predictor (which runs before the push) reads the N most recent samples.
-    The line is prefilled with the equilibrium control.
+
+class Predictor:
+    """Exact h-second-ahead state forecast for one plant and sample period.
+
+    ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step discretization,
+    ``exp_h`` = Ad^N = e^{Ah} and ``G`` = [Ad^{N-1} Bd ... Ad Bd  Bd], so a
+    forecast costs two matrix-vector products. The forecast is linear in
+    (x, u), so it applies unchanged to deviations from an equilibrium.
     """
 
-    def __init__(self, dt: float, depth: int, fill):
-        if not dt > 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
-        self.dt = float(dt)
-        self.depth = int(depth)
-        fill = as_vector(fill, name="fill")
-        self._buf: deque[np.ndarray] = deque(
-            (fill.copy() for _ in range(depth + 1)), maxlen=depth + 1
-        )
-        self.t = -self.dt  # timestamp of the newest push
+    def __init__(self, plant: LtiPlant, dt: float):
+        n, m = plant.n, plant.m_in
+        self.depth = delay_steps(plant.h, dt)
+        self.A, self.B, self.dt = plant.A, plant.B, dt
+        self.Ad, self.Bd = zoh_discretize(plant.A, plant.B, dt)
+        self.exp_h = mat_exp(plant.A, plant.h)
+        self.G = np.empty((n, self.depth * m))
+        block = self.Bd
+        for i in reversed(range(self.depth)):
+            self.G[:, i * m:(i + 1) * m] = block
+            block = self.Ad @ block
 
-    @property
-    def h(self) -> float:
-        return self.depth * self.dt
+    def __call__(self, x: np.ndarray, window: np.ndarray) -> np.ndarray:
+        """Window form: forecast from state ``x`` and the C-contiguous
+        ``(N, m)`` window of held inputs, oldest first."""
+        return self.exp_h @ x + self.G @ window.ravel()
 
-    def push(self, u) -> None:
-        self._buf.append(as_vector(u, name="control").copy())
-        self.t += self.dt
+    def from_integral(self, x: np.ndarray, t: float, dz: np.ndarray) -> np.ndarray:
+        """z form: e^{Ah} x + e^{At} dz, with dz = z(t) - z(t - h)."""
+        return self.exp_h @ x + mat_exp(self.A, t) @ dz
 
-    def lookup(self, tau: float) -> np.ndarray:
-        """Sample whose hold interval [t_i, t_i + dt) contains ``tau``.
+    @cached_property
+    def _gamma(self) -> np.ndarray:
+        """integral_0^dt e^{-As} ds B, the z form's per-step input map."""
+        return zoh_discretize(-self.A, self.B, self.dt)[1]
 
-        Defined for tau in [t - h, t + dt), i.e. any stored sample.
-        """
-        i = math.floor((tau - (self.t - self.h)) / self.dt + _H_ALIGN_TOL)
-        if not 0 <= i <= self.depth:
-            raise InsufficientHistoryError(
-                f"time {tau} outside covered window [{self.t - self.h}, {self.t + self.dt})"
-            )
-        return self._buf[i]
-
-    def recent(self, n: int | None = None) -> list[np.ndarray]:
-        """The ``n`` most recent samples, oldest first (default: depth)."""
-        n = self.depth if n is None else n
-        if n > len(self._buf):
-            raise InsufficientHistoryError(f"{n} samples requested, {len(self._buf)} stored")
-        return [self._buf[i] for i in range(len(self._buf) - n, len(self._buf))]
-
-
-@dataclass
-class RegulatorState:
-    """Mutable per-simulation regulator bookkeeping.
-
-    In z mode, ``z`` is the running integral at time ``t`` and ``z_history``
-    holds its last N samples so z(t-h) is addressable; both start at zero,
-    matching z == 0 on [-h, 0]. In window mode the z fields stay at zero.
-    """
-
-    mode: str  # "window" | "zform"
-    z: np.ndarray
-    z_history: deque = field(default_factory=deque)
-    t: float = 0.0
-
-    @classmethod
-    def initial(cls, plant: LtiPlant, mode: str, depth: int) -> "RegulatorState":
-        if mode not in ("window", "zform"):
-            raise ValueError(f"unknown regulator mode {mode!r}")
-        n = plant.n
-        return cls(
-            mode=mode,
-            z=np.zeros(n),
-            z_history=deque((np.zeros(n) for _ in range(depth)), maxlen=depth),
-        )
-
-
-def _delayed_window(plant: LtiPlant, line: DelayLine | None) -> list[np.ndarray]:
-    n_samples = 0 if line is None else line.depth
-    if line is not None and abs(line.h - plant.h) > _H_ALIGN_TOL:
-        raise InsufficientHistoryError(
-            f"delay line covers {line.h} s, plant delay is {plant.h} s"
-        )
-    if line is None and plant.h > _H_ALIGN_TOL:
-        raise InsufficientHistoryError("plant has a delay but no history was given")
-    return [] if n_samples == 0 else line.recent(n_samples)
-
-
-def predict_state(plant: LtiPlant, x, line: DelayLine | None, disc=None) -> np.ndarray:
-    """Exact h-second-ahead state forecast under zero-order-hold inputs.
-
-    xhat(t+h) = Ad^N x + sum_i Ad^{N-1-i} Bd u_i with (Ad, Bd) the exact
-    one-step discretization; Ad^N = e^{Ah}. ``disc`` may carry a precomputed
-    (Ad, Bd) pair for the line's sample period.
-    """
-    x = as_vector(x, plant.n, "state")
-    window = _delayed_window(plant, line)
-    if not window:
-        return x.copy()
-    Ad, Bd = disc if disc is not None else zoh_discretize(plant.A, plant.B, line.dt)
-    p = x
-    for u in window:
-        p = Ad @ p + Bd @ u
-    return p
-
-
-def predict_deviation(
-    plant: LtiPlant,
-    setpoint: Setpoint,
-    x,
-    reg: RegulatorState | None,
-    line: DelayLine | None,
-    disc=None,
-    exp_h: np.ndarray | None = None,
-) -> np.ndarray:
-    """Forecast deviation xhat(t+h) - x*, per the regulator's mode.
-
-    Window mode runs the sliding ZOH sum on the shifted inputs u - u*;
-    z mode evaluates e^{Ah}(x - x*) + e^{At}[z(t) - z(t-h)].
-    """
-    x = as_vector(x, plant.n, "state")
-    xt = x - setpoint.x_star
-    if reg is None or reg.mode == "window":
-        window = _delayed_window(plant, line)
-        if not window:
-            return xt
-        Ad, Bd = disc if disc is not None else zoh_discretize(plant.A, plant.B, line.dt)
-        p = xt
-        for u in window:
-            p = Ad @ p + Bd @ (u - setpoint.u_star)
-        return p
-    if exp_h is None:
-        exp_h = mat_exp(plant.A, plant.h)
-    z_old = reg.z_history[0] if len(reg.z_history) else reg.z
-    return exp_h @ xt + mat_exp(plant.A, reg.t) @ (reg.z - z_old)
-
-
-def regulator_control(
-    plant: LtiPlant,
-    gain: Gain,
-    setpoint: Setpoint,
-    x,
-    reg: RegulatorState | None,
-    line: DelayLine | None,
-    disc=None,
-    exp_h: np.ndarray | None = None,
-) -> np.ndarray:
-    """Predictor-feedback control u(t) = u* + K (xhat(t+h) - x*)."""
-    dev = predict_deviation(plant, setpoint, x, reg, line, disc=disc, exp_h=exp_h)
-    return setpoint.u_star + gain.K @ dev
-
-
-def regulator_step(
-    plant: LtiPlant,
-    reg: RegulatorState,
-    u_applied,
-    dt: float,
-    setpoint: Setpoint | None = None,
-    disc_neg=None,
-) -> RegulatorState:
-    """Advance the auxiliary integral one exact ZOH step (z mode only).
-
-    z satisfies dz/dt = e^{-At} B (u - u*); with the shifted control held
-    constant over [t, t+dt] the exact increment is
-    e^{-At} (integral_0^dt e^{-As} ds) B (u - u*), computed through the
-    augmented exponential for -A. Window mode is a no-op.
-    """
-    if reg.mode != "zform":
-        return reg
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    u = as_vector(u_applied, plant.m_in, "applied control")
-    if setpoint is not None:
-        u = u - setpoint.u_star
-    if disc_neg is None:
-        disc_neg = zoh_discretize(-plant.A, plant.B, dt)
-    gamma = disc_neg[1]
-    increment = mat_exp(plant.A, -reg.t) @ (gamma @ u)
-    # maxlen-bounded deque drops the oldest sample on append
-    reg.z_history.append(reg.z.copy())
-    reg.z = reg.z + increment
-    reg.t += dt
-    return reg
-
-
-def naive_control(gain: Gain, setpoint: Setpoint, x) -> np.ndarray:
-    """Plain state feedback u = u* + K (x - x*), ignoring the delay."""
-    x = as_vector(x, name="state")
-    return setpoint.u_star + gain.K @ (x - setpoint.x_star)
+    def integral_step(self, t: float, u: np.ndarray) -> np.ndarray:
+        """z(t + dt) - z(t) for the input ``u`` held over [t, t + dt):
+        e^{-At} (integral_0^dt e^{-As} ds) B u."""
+        return mat_exp(self.A, -t) @ (self._gamma @ u)

@@ -89,22 +89,6 @@ class LtiPlant:
 
 
 @dataclass(frozen=True)
-class RobotState:
-    """Linear speed v [m/s] and angular speed omega [rad/s]."""
-
-    v: float
-    omega: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.omega])
-
-    @classmethod
-    def from_array(cls, x) -> "RobotState":
-        x = as_vector(x, 2, "robot state")
-        return cls(float(x[0]), float(x[1]))
-
-
-@dataclass(frozen=True)
 class RobotControl:
     """Mean motor voltage e_m [V] and differential motor voltage e_d [V]."""
 

@@ -22,26 +22,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import (
-    DelayLine,
-    Gain,
-    RegulatorState,
-    Setpoint,
-    naive_control,
-    predict_deviation,
-    regulator_step,
-)
+from .control import ZFORM_MAX_EXPONENT, Gain, Predictor, Setpoint, delay_steps
 from .robot import LtiPlant, Pose, integrate_pose
 from .smallmat import SingularMatrixError, as_vector, mat_exp, solve, zoh_discretize
 
 CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
 
-_H_ALIGN_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One closed-loop run: plant, controller selection and sampling grid."""
+    """One closed-loop run: plant, controller selection and sampling grid.
+
+    Every field is validated here, so :func:`run` works on raw arrays.
+    """
 
     plant: LtiPlant
     gain: Gain
@@ -58,24 +51,29 @@ class Scenario:
             raise ValueError(f"unknown controller {self.controller!r}; choose from {CONTROLLERS}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.T >= self.dt:
-            raise ValueError(f"horizon T must be >= dt, got T={self.T}, dt={self.dt}")
+        if not self.dt <= self.T < math.inf:
+            raise ValueError(f"horizon T must be finite and >= dt, got T={self.T}, dt={self.dt}")
         if not self.divergence_threshold > 0:
             raise ValueError("divergence_threshold must be > 0")
         if self.e_max is not None and not self.e_max > 0:
             raise ValueError("e_max must be > 0 when set")
-        n_delay = round(self.plant.h / self.dt)
-        if abs(n_delay * self.dt - self.plant.h) > _H_ALIGN_TOL:
-            raise ValueError(
-                f"delay h={self.plant.h} is not an integer multiple of dt={self.dt}"
-            )
-        x0 = as_vector(self.x0, self.plant.n, "x0")
+        delay_steps(self.plant.h, self.dt)
+        n, m = self.plant.n, self.plant.m_in
+        if self.gain.K.shape != (m, n):
+            raise ValueError(f"gain shape {self.gain.K.shape} does not match plant ({m}, {n})")
+        if self.setpoint.x_star.shape != (n,) or self.setpoint.u_star.shape != (m,):
+            raise ValueError(f"setpoint sizes do not match plant (n={n}, m={m})")
+        if self.controller == "predictor-zform":
+            exponent = float(np.linalg.norm(self.plant.A, np.inf)) * self.T
+            if exponent > ZFORM_MAX_EXPONENT:
+                raise ValueError(
+                    f"predictor-zform horizon T={self.T:g} too long: ||A||_inf T = {exponent:g} "
+                    f"exceeds {ZFORM_MAX_EXPONENT:g}, the z form's overflow bound; "
+                    "use predictor-window"
+                )
+        x0 = as_vector(self.x0, n, "x0")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-
-    @property
-    def delay_steps(self) -> int:
-        return round(self.plant.h / self.dt)
 
 
 @dataclass
@@ -83,8 +81,10 @@ class Trajectory:
     """Uniformly sampled closed-loop record.
 
     ``predictions[k]`` is the forecast of the state at t_k + h issued at t_k
-    (NaN rows for non-predictor controllers). ``poses`` holds the integrated
-    planar pose for two-state (v, omega) plants and zeros otherwise.
+    (NaN rows for non-predictor controllers). ``controls`` is the tail of the
+    run's step-indexed control record. ``poses`` holds the integrated planar
+    pose for two-state (v, omega) plants and zeros otherwise. ``t_d`` is the
+    time of the state that ended a diverged run.
     """
 
     t: np.ndarray
@@ -110,33 +110,12 @@ class Metrics:
     diverged: bool
 
 
-def step_plant(plant: LtiPlant, x, u_delayed, dt: float, disc=None) -> np.ndarray:
+def step_plant(plant: LtiPlant, x, u_delayed, dt: float) -> np.ndarray:
     """One exact ZOH step: x+ = Ad x + Bd u with the delayed input held."""
     x = as_vector(x, plant.n, "state")
     u = as_vector(u_delayed, plant.m_in, "control")
-    Ad, Bd = disc if disc is not None else zoh_discretize(plant.A, plant.B, dt)
+    Ad, Bd = zoh_discretize(plant.A, plant.B, dt)
     return Ad @ x + Bd @ u
-
-
-def step_plant_rk4(plant: LtiPlant, x, u_delayed, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step with the input held constant.
-
-    Kept for convergence-order checks against the exact stepper; the closed
-    loop itself always uses :func:`step_plant`.
-    """
-    x = as_vector(x, plant.n, "state")
-    u = as_vector(u_delayed, plant.m_in, "control")
-    A, B = plant.A, plant.B
-    bu = B @ u
-
-    def f(xi):
-        return A @ xi + bu
-
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float) -> np.ndarray:
@@ -160,88 +139,77 @@ def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float) -> np.ndarray:
 def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     """Simulate one scenario; returns the trajectory and its metrics.
 
-    Per sample: read x(t), compute u(t), push it into the delay line, let the
-    plant consume u(t - h) (the current u for the nodelay controller), take
-    one exact ZOH step and integrate the pose. Terminates early when the state
-    inf-norm exceeds the divergence threshold.
+    The delay line is the control record ``history``, indexed by step: rows
+    0..N-1 hold u* over [-h, 0) and row N + k holds the control issued at t_k,
+    so no clock can drift. Per sample k: forecast x(t_k + h) from x(t_k) and
+    the window history[k:N+k] (z form: from its running integral, kept in a
+    step-indexed array of the same kind), apply u = u* + Kd (xhat - x*),
+    record, let the plant consume row N + k - lag (lag = N, or 0 for the
+    nodelay controller), integrate the pose and take one exact ZOH step.
+    Stops early, as diverged, on a state whose inf-norm exceeds the divergence
+    threshold or is not finite; a non-finite state is not recorded.
     """
-    plant, sp = scenario.plant, scenario.setpoint
+    plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n = scenario.dt, plant.n
     steps = round(scenario.T / dt)
-    n_delay = scenario.delay_steps
-    disc = zoh_discretize(plant.A, plant.B, dt)
+    pred = Predictor(plant, dt)
+    N, Ad, Bd = pred.depth, pred.Ad, pred.Bd
+    lag = 0 if controller == "nodelay" else N
     Kd = matched_gain(plant, scenario.gain.K, dt)
-    loop_gain = Gain(Kd)
-    exp_h = mat_exp(plant.A, plant.h)
+    x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
+    # capped so that a threshold of inf still stops on an infinite state
+    limit = min(scenario.divergence_threshold, np.finfo(float).max)
 
-    is_predictor = scenario.controller in ("predictor-zform", "predictor-window")
-    use_line = scenario.controller != "nodelay" and n_delay > 0
-    line = DelayLine(dt, n_delay, fill=sp.u_star) if use_line else None
-    reg = None
-    disc_neg = None
-    if scenario.controller == "predictor-zform":
-        reg = RegulatorState.initial(plant, "zform", depth=n_delay)
-        disc_neg = zoh_discretize(-plant.A, plant.B, dt)
-
-    t_arr = np.empty(steps + 1)
-    states = np.full((steps + 1, n), np.nan)
-    controls = np.full((steps + 1, plant.m_in), np.nan)
+    history = np.empty((N + steps + 1, plant.m_in))
+    history[:N] = u_star
+    z = np.zeros((N + steps + 1, n)) if controller == "predictor-zform" else None
+    t_arr = np.arange(steps + 1) * dt
+    states = np.empty((steps + 1, n))
     predictions = np.full((steps + 1, n), np.nan)
     poses = np.zeros((steps + 1, 3))
 
     x = scenario.x0.copy()
     pose = Pose()
     status, t_d = "completed", None
-    recorded = 0
+    # overflow is not an error here: it ends the run as diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            if controller == "predictor-window":
+                xhat = pred(x, history[k:N + k])
+                dev = xhat - x_star
+            elif z is not None:
+                dev = pred.from_integral(x - x_star, t_arr[k], z[N + k] - z[k])
+                xhat = x_star + dev
+            else:
+                xhat = None
+                dev = x - x_star
+            u = u_star + Kd @ dev
+            if e_max is not None:
+                u = np.clip(u, -e_max, e_max)
 
-    for k in range(steps + 1):
-        t = k * dt
-        if not np.all(np.isfinite(x)):
-            status, t_d = "diverged", t
-            break
+            history[N + k] = u
+            states[k] = x
+            if xhat is not None:
+                predictions[k] = xhat
+            poses[k] = (pose.x_pos, pose.y_pos, pose.heading)
 
-        if is_predictor:
-            dev = predict_deviation(plant, sp, x, reg, line, disc=disc, exp_h=exp_h)
-            xhat = sp.x_star + dev
-            u = sp.u_star + Kd @ dev
-        else:
-            xhat = None
-            u = naive_control(loop_gain, sp, x)
-        if scenario.e_max is not None:
-            u = np.clip(u, -scenario.e_max, scenario.e_max)
+            if not (np.abs(x).max() <= limit):
+                status, t_d = "diverged", k * dt
+                break
+            if k == steps:
+                break
 
-        t_arr[k] = t
-        states[k] = x
-        controls[k] = u
-        if xhat is not None:
-            predictions[k] = xhat
-        poses[k] = (pose.x_pos, pose.y_pos, pose.heading)
-        recorded = k + 1
-
-        if np.linalg.norm(x, np.inf) > scenario.divergence_threshold:
-            status, t_d = "diverged", t
-            break
-        if k == steps:
-            break
-
-        if scenario.controller == "nodelay":
-            u_delayed = u
-        elif line is None:  # h == 0 with a delayed controller
-            u_delayed = u
-        else:
-            line.push(u)
-            u_delayed = line.lookup(t - plant.h)
-        if reg is not None:
-            # regulator_step shifts by u* internally via the setpoint
-            regulator_step(plant, reg, u, dt, setpoint=sp, disc_neg=disc_neg)
-        if n == 2:
-            pose = integrate_pose(pose, x[0], x[1], dt)
-        x = step_plant(plant, x, u_delayed, dt, disc=disc)
+            if z is not None:
+                z[N + k + 1] = z[N + k] + pred.integral_step(t_arr[k], u - u_star)
+            if n == 2:
+                pose = integrate_pose(pose, x[0], x[1], dt)
+            x = Ad @ x + Bd @ history[N + k - lag]
+    recorded = k + 1 if np.all(np.isfinite(x)) else k
 
     traj = Trajectory(
         t=t_arr[:recorded],
         states=states[:recorded],
-        controls=controls[:recorded],
+        controls=history[N:N + recorded],
         predictions=predictions[:recorded],
         poses=poses[:recorded],
         status=status,
@@ -278,14 +246,10 @@ def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:
 
     max_prediction_error = None
     if traj.controller in ("predictor-zform", "predictor-window"):
-        n_delay = round(traj.h / traj.dt)
-        issued = traj.predictions[: len(traj.states) - n_delay] if n_delay else traj.predictions
-        realized = traj.states[n_delay:]
-        if len(issued):
-            pair_err = np.linalg.norm(issued - realized, np.inf, axis=1)
-            max_prediction_error = float(np.max(pair_err))
-        else:
-            max_prediction_error = 0.0
+        n_delay = delay_steps(traj.h, traj.dt)
+        pairs = max(len(traj.states) - n_delay, 0)  # none on a run shorter than h
+        issued, realized = traj.predictions[:pairs], traj.states[n_delay:]
+        max_prediction_error = float(np.max(np.abs(issued - realized), initial=0.0))
     return Metrics(
         settled=settled,
         settling_time=settling_time,

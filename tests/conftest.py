@@ -34,3 +34,23 @@ def rk4_zoh_oracle(A, B, x0, holds, dt, substeps=1000):
             k4 = A @ (x + hsub * k3) + bu
             x = x + hsub / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
+
+
+def step_plant_rk4(plant, x, u_delayed, dt):
+    """One classical Runge-Kutta step with the input held constant.
+
+    Order-check oracle for the exact stepper; the closed loop itself always
+    uses the exact zero-order-hold step.
+    """
+    A, B = plant.A, plant.B
+    bu = B @ np.asarray(u_delayed, dtype=float)
+
+    def f(xi):
+        return A @ xi + bu
+
+    x = np.asarray(x, dtype=float)
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)

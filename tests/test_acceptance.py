@@ -12,14 +12,7 @@ import numpy as np
 import pytest
 
 from delaycomp import cli
-from delaycomp.control import (
-    DelayLine,
-    Gain,
-    design_gain,
-    make_setpoint,
-    origin_setpoint,
-    predict_state,
-)
+from delaycomp.control import Gain, Predictor, design_gain, make_setpoint, origin_setpoint
 from delaycomp.robot import LtiPlant, RobotParams, params_to_lti
 from delaycomp.sim import Scenario, run, sweep_delay
 from delaycomp.smallmat import is_hurwitz, mat_exp
@@ -81,12 +74,9 @@ def test_criterion_2_prediction_exactness():
             dt = float(rng.uniform(0.02, 0.08))
             depth = 10
             plant = LtiPlant(a, b, depth * dt)
-            line = DelayLine(dt, depth, fill=np.zeros(n))
-            holds = [rng.uniform(-1.0, 1.0, n) for _ in range(depth)]
-            for u in holds:
-                line.push(u)
+            holds = rng.uniform(-1.0, 1.0, (depth, n))
             x = rng.uniform(-1.0, 1.0, n)
-            predicted = predict_state(plant, x, line)
+            predicted = Predictor(plant, dt)(x, holds)
             reference = rk4_zoh_oracle(a, b, x, holds, dt, substeps=1000)
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(predicted - reference)) <= 1e-9 * scale

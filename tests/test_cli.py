@@ -58,6 +58,9 @@ class TestParseConfig:
         ("e_max = -2\n", "e_max"),
         ("dt = -0.01\n", "dt"),
         ("horizon = 0.001\n", "horizon"),
+        ("horizon = inf\n", "horizon"),
+        ("v0 = nan\n", "v0"),
+        ("poles = -5,-inf\n", "poles"),
     ])
     def test_errors_name_the_key(self, extra, key):
         with pytest.raises(ConfigError) as err:
@@ -147,6 +150,22 @@ class TestRunCommand:
 
     def test_unknown_flag(self):
         assert cli.main(["run", "--bogus"]) == EXIT_USAGE
+
+    def test_long_horizon(self, tmp_path):
+        cfg = write_config(tmp_path, extra="horizon = 120\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        lines = (out / "predictor-window.csv").read_text().splitlines()
+        assert len(lines) - 1 == 12001
+
+    def test_zform_horizon_too_long(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra="horizon = 400\n")
+        code = cli.main(["run", "--config", str(cfg), "--controller", "predictor-zform",
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "'horizon'" in err
 
     def test_controller_override(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 1\n")

@@ -6,23 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycomp.control import (
-    DelayLine,
     Gain,
-    InsufficientHistoryError,
-    RegulatorState,
-    Setpoint,
+    Predictor,
     UnsupportedStructureError,
+    delay_steps,
     design_gain,
     equilibrium_input,
     make_setpoint,
-    naive_control,
     origin_setpoint,
-    predict_state,
-    regulator_control,
-    regulator_step,
 )
 from delaycomp.robot import LtiPlant
-from delaycomp.smallmat import SingularMatrixError, mat_exp
+from delaycomp.sim import Scenario, matched_gain, run
+from delaycomp.smallmat import SingularMatrixError, mat_exp, zoh_discretize
 
 from conftest import random_matrix, rk4_zoh_oracle
 
@@ -94,60 +89,86 @@ class TestEquilibrium:
         assert np.linalg.norm(residual, np.inf) <= 1e-10
 
 
+def loop_scenario(plant, controller, dt, T, x0, ref=None, K=None):
+    gain = design_gain(plant, [-5.0] * plant.n) if K is None else Gain.for_plant(K, plant)
+    setpoint = origin_setpoint(plant) if ref is None else make_setpoint(plant, ref)
+    return Scenario(plant=plant, gain=gain, setpoint=setpoint, controller=controller,
+                    x0=np.asarray(x0, dtype=float), dt=dt, T=T)
+
+
+def control_record(scenario, traj):
+    """The run's step-indexed control record: N rows of u*, then the controls."""
+    depth = delay_steps(scenario.plant.h, scenario.dt)
+    return np.vstack([np.tile(scenario.setpoint.u_star, (depth, 1)), traj.controls])
+
+
 class TestDelayLine:
+    """The delay line is the run's control record, indexed by step."""
+
     def test_push_then_read_in_order(self):
-        line = DelayLine(0.1, 4, fill=np.zeros(1))
-        pushed = [np.array([float(i)]) for i in range(4)]
-        for u in pushed:
-            line.push(u)
-        window = line.recent()
-        assert [w[0] for w in window] == [0.0, 1.0, 2.0, 3.0]
+        # the plant consumes the controls in the order they were issued,
+        # N steps after issue
+        sc = loop_scenario(ROBOT, "naive", 0.05, 2.0, [0.3, -0.2], ref=[1.0, 0.5])
+        traj, _ = run(sc)
+        ad, bd = zoh_discretize(ROBOT.A, ROBOT.B, sc.dt)
+        depth = delay_steps(ROBOT.h, sc.dt)
+        for k in range(depth, len(traj.t) - 1):
+            expected = ad @ traj.states[k] + bd @ traj.controls[k - depth]
+            np.testing.assert_allclose(traj.states[k + 1], expected, rtol=1e-14, atol=1e-15)
 
     def test_prefill(self):
-        line = DelayLine(0.1, 3, fill=np.array([7.0]))
-        assert all(w[0] == 7.0 for w in line.recent())
+        # over [0, h) the plant consumes u*, the record's first N rows
+        sc = loop_scenario(ROBOT, "naive", 0.05, 1.0, [0.0, 0.0], ref=[1.0, 0.5])
+        traj, _ = run(sc)
+        ad, bd = zoh_discretize(ROBOT.A, ROBOT.B, sc.dt)
+        x = sc.x0
+        for k in range(delay_steps(ROBOT.h, sc.dt)):
+            x = ad @ x + bd @ sc.setpoint.u_star
+            np.testing.assert_allclose(traj.states[k + 1], x, rtol=1e-14, atol=1e-15)
 
     def test_lookup_piecewise_constant_right_open(self):
-        line = DelayLine(0.1, 2, fill=np.zeros(1))
-        line.push(np.array([1.0]))  # t = 0, holds [0, 0.1)
-        line.push(np.array([2.0]))  # t = 0.1, holds [0.1, 0.2)
-        assert line.t == pytest.approx(0.1)
-        assert line.lookup(0.0)[0] == 1.0
-        assert line.lookup(0.05)[0] == 1.0
-        assert line.lookup(0.1)[0] == 2.0
-        assert line.lookup(-0.05)[0] == 0.0  # prefill sample
-        with pytest.raises(InsufficientHistoryError):
-            line.lookup(-0.2)
-        with pytest.raises(InsufficientHistoryError):
-            line.lookup(0.25)
+        # the control issued at t_k is held over [t_k, t_k + dt); the nodelay
+        # controller reads it at once (lag 0)
+        sc = loop_scenario(ROBOT, "nodelay", 0.05, 1.0, [0.3, -0.2], ref=[1.0, 0.5])
+        traj, _ = run(sc)
+        ad, bd = zoh_discretize(ROBOT.A, ROBOT.B, sc.dt)
+        for k in range(len(traj.t) - 1):
+            expected = ad @ traj.states[k] + bd @ traj.controls[k]
+            np.testing.assert_allclose(traj.states[k + 1], expected, rtol=1e-14, atol=1e-15)
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            DelayLine(0.0, 3, fill=np.zeros(1))
-        with pytest.raises(ValueError):
-            DelayLine(0.1, -1, fill=np.zeros(1))
-        assert DelayLine(0.1, 3, fill=np.zeros(1)).h == pytest.approx(0.3)
+        assert delay_steps(0.3, 0.1) == 3
+        assert delay_steps(0.0, 0.1) == 0
+        assert delay_steps(0.3, 0.001) == 300
+        with pytest.raises(ValueError, match="multiple"):
+            delay_steps(0.25, 0.1)
+        assert Predictor(ROBOT, 0.01).depth == 30
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 12), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=30))
-    def test_window_reproduces_last_pushes(self, depth, values):
-        line = DelayLine(0.05, depth, fill=np.zeros(1))
-        for v in values:
-            line.push(np.array([v]))
-        expected = ([0.0] * depth + values)[-depth:]
-        assert [w[0] for w in line.recent()] == expected
+    @given(st.integers(1, 12), st.integers(1, 30))
+    def test_window_reproduces_last_pushes(self, depth, steps):
+        # the forecast at step k uses the last N issued controls, oldest
+        # first, padded at the start with u*
+        dt = 0.05
+        plant = scalar_plant(-1.0, 1.0, depth * dt)
+        sc = loop_scenario(plant, "predictor-window", dt, steps * dt, [0.5], ref=[0.2])
+        traj, _ = run(sc)
+        record = control_record(sc, traj)
+        pred = Predictor(plant, dt)
+        for k in range(len(traj.t)):
+            np.testing.assert_allclose(pred(traj.states[k], record[k:k + depth]),
+                                       traj.predictions[k], rtol=1e-14, atol=1e-15)
 
 
 class TestPredictState:
     def test_zero_delay(self):
         plant = scalar_plant(-1.0, 1.0, 0.0)
-        out = predict_state(plant, [1.0], None)
+        out = Predictor(plant, 0.1)(np.array([1.0]), np.empty((0, 1)))
         assert out[0] == 1.0
 
     def test_zero_history_is_homogeneous(self):
-        line = DelayLine(0.05, 6, fill=np.zeros(2))
         plant = LtiPlant(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0]), 0.3)
-        out = predict_state(plant, [1.0, 1.0], line)
+        out = Predictor(plant, 0.05)(np.array([1.0, 1.0]), np.zeros((6, 2)))
         expected = mat_exp(plant.A, 0.3) @ np.array([1.0, 1.0])
         np.testing.assert_allclose(out, expected, rtol=1e-13)
 
@@ -155,15 +176,14 @@ class TestPredictState:
         h = math.log(2.0)
         n = 8
         plant = scalar_plant(-1.0, 1.0, h)
-        line = DelayLine(h / n, n, fill=np.array([2.0]))
-        out = predict_state(plant, [1.0], line)
+        out = Predictor(plant, h / n)(np.array([1.0]), np.full((n, 1), 2.0))
         assert out[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_mismatched_history(self):
-        plant = scalar_plant(-1.0, 1.0, 0.4)
-        line = DelayLine(0.1, 3, fill=np.zeros(1))  # covers 0.3 s, plant wants 0.4
-        with pytest.raises(InsufficientHistoryError):
-            predict_state(plant, [1.0], line)
+        # the window length comes from (plant, dt), so a delay that no whole
+        # number of samples covers is rejected when the predictor is built
+        with pytest.raises(ValueError, match="multiple"):
+            Predictor(scalar_plant(-1.0, 1.0, 0.25), 0.1)
 
     def test_exact_against_brute_force(self, rng):
         for _ in range(10):
@@ -173,92 +193,77 @@ class TestPredictState:
             dt = float(rng.uniform(0.02, 0.08))
             depth = 10
             plant = LtiPlant(a, b, depth * dt)
-            line = DelayLine(dt, depth, fill=np.zeros(n))
-            holds = [rng.uniform(-1.0, 1.0, n) for _ in range(depth)]
-            for u in holds:
-                line.push(u)
+            holds = rng.uniform(-1.0, 1.0, (depth, n))
             x = rng.uniform(-1.0, 1.0, n)
-            predicted = predict_state(plant, x, line)
+            predicted = Predictor(plant, dt)(x, holds)
             reference = rk4_zoh_oracle(a, b, x, holds, dt, substeps=200)
             np.testing.assert_allclose(predicted, reference, rtol=1e-9, atol=1e-12)
 
 
 class TestRegulator:
-    def setpoint(self):
-        return make_setpoint(ROBOT, [1.0, 0.5])
-
     def test_fixed_point_at_setpoint(self):
-        sp = self.setpoint()
-        gain = design_gain(ROBOT, [-5.0, -5.0])
-        line = DelayLine(0.01, 30, fill=sp.u_star)
-        reg = RegulatorState.initial(ROBOT, "window", 30)
-        u = regulator_control(ROBOT, gain, sp, sp.x_star, reg, line)
-        np.testing.assert_allclose(u, sp.u_star, atol=1e-12)
+        sp = make_setpoint(ROBOT, [1.0, 0.5])
+        out = Predictor(ROBOT, 0.01)(sp.x_star, np.tile(sp.u_star, (30, 1)))
+        np.testing.assert_allclose(out, sp.x_star, atol=1e-12)
+        traj, _ = run(loop_scenario(ROBOT, "predictor-window", 0.01, 0.5, sp.x_star, ref=sp.x_star))
+        np.testing.assert_allclose(traj.controls, np.tile(sp.u_star, (len(traj.t), 1)), atol=1e-12)
 
     def test_zero_delay_reduces_to_state_feedback(self):
         plant = LtiPlant(ROBOT.A, ROBOT.B, 0.0)
-        sp = make_setpoint(plant, [1.0, 0.5])
-        gain = design_gain(plant, [-5.0, -5.0])
-        reg = RegulatorState.initial(plant, "window", 0)
-        x = np.array([0.2, -0.4])
-        u = regulator_control(plant, gain, sp, x, reg, None)
-        np.testing.assert_allclose(u, naive_control(gain, sp, x), atol=1e-15)
+        pred, _ = run(loop_scenario(plant, "predictor-window", 0.01, 1.0, [0.2, -0.4], ref=[1.0, 0.5]))
+        naive, _ = run(loop_scenario(plant, "naive", 0.01, 1.0, [0.2, -0.4], ref=[1.0, 0.5]))
+        np.testing.assert_allclose(pred.controls, naive.controls, atol=1e-15)
+        np.testing.assert_allclose(pred.predictions, pred.states, atol=1e-15)
 
     def test_scalar_chain(self):
-        # constant history 2 on a log(2)-second window predicts 1.5; with
-        # k = -1 and origin setpoint the control is -1.5
+        # x* = 2 gives u* = 2: a constant history 2 on a log(2)-second window
+        # predicts 1.5 from x = 1, and the first control is u* + Kd (1.5 - 2)
         h = math.log(2.0)
         plant = scalar_plant(-1.0, 1.0, h)
-        gain = Gain.for_plant(np.array([[-1.0]]), plant)
-        sp = origin_setpoint(plant)
-        line = DelayLine(h / 8, 8, fill=np.array([2.0]))
-        reg = RegulatorState.initial(plant, "window", 8)
-        u = regulator_control(plant, gain, sp, [1.0], reg, line)
-        assert u[0] == pytest.approx(-1.5, abs=1e-12)
+        K = np.array([[-1.0]])
+        sc = loop_scenario(plant, "predictor-window", h / 8, h, [1.0], ref=[2.0], K=K)
+        traj, _ = run(sc)
+        assert traj.predictions[0, 0] == pytest.approx(1.5, abs=1e-12)
+        kd = matched_gain(plant, K, sc.dt)[0, 0]
+        assert traj.controls[0, 0] == pytest.approx(2.0 - 0.5 * kd, abs=1e-12)
 
     def test_step_scalar_integral(self):
-        plant = scalar_plant(-1.0, 1.0, 0.3)
-        reg = RegulatorState.initial(plant, "zform", 3)
-        regulator_step(plant, reg, [1.0], 0.1)
-        assert reg.z[0] == pytest.approx(math.e**0.1 - 1.0, rel=1e-12)
-        assert reg.t == pytest.approx(0.1)
+        pred = Predictor(scalar_plant(-1.0, 1.0, 0.3), 0.1)
+        assert pred.integral_step(0.0, np.array([1.0]))[0] == pytest.approx(math.e**0.1 - 1.0, rel=1e-12)
+        # dz = e^{-At} dz(0) on a later interval
+        later = pred.integral_step(0.1, np.array([1.0]))[0]
+        assert later == pytest.approx(math.e**0.1 * (math.e**0.1 - 1.0), rel=1e-12)
 
     def test_step_zero_input(self):
-        plant = scalar_plant(-1.0, 1.0, 0.3)
-        reg = RegulatorState.initial(plant, "zform", 3)
-        regulator_step(plant, reg, [0.0], 0.1)
-        assert reg.z[0] == 0.0
-
-    def test_step_window_mode_noop(self):
-        plant = scalar_plant(-1.0, 1.0, 0.3)
-        reg = RegulatorState.initial(plant, "window", 3)
-        out = regulator_step(plant, reg, [1.0], 0.1)
-        assert out is reg and reg.t == 0.0 and np.all(reg.z == 0.0)
+        pred = Predictor(scalar_plant(-1.0, 1.0, 0.3), 0.1)
+        assert pred.integral_step(0.4, np.zeros(1))[0] == 0.0
 
     def test_modes_agree_on_random_history(self, rng):
-        # feed both realizations the same applied-control sequence and check
-        # the controls they produce coincide
-        plant = scalar_plant(-1.0, 1.0, 0.2)
-        gain = Gain.for_plant(np.array([[-2.0]]), plant)
-        sp = origin_setpoint(plant)
-        dt, depth = 0.05, 4
-        line = DelayLine(dt, depth, fill=np.zeros(1))
-        reg = RegulatorState.initial(plant, "zform", depth)
-        win = RegulatorState.initial(plant, "window", depth)
-        for _ in range(40):
-            x = rng.uniform(-1.0, 1.0, 1)
-            u_window = regulator_control(plant, gain, sp, x, win, line)
-            u_zform = regulator_control(plant, gain, sp, x, reg, line)
-            np.testing.assert_allclose(u_zform, u_window, rtol=1e-9, atol=1e-12)
-            u = rng.uniform(-1.0, 1.0, 1)
-            line.push(u)
-            regulator_step(plant, reg, u, dt)
+        # feed both realizations the same applied-control sequence, indexed by
+        # step as in the run loop, and check their forecasts coincide
+        plant = LtiPlant(np.array([[-1.0, 0.5], [0.0, 0.3]]), np.array([[1.0], [0.5]]), 0.2)
+        dt, steps = 0.05, 40
+        pred = Predictor(plant, dt)
+        depth = pred.depth
+        record = np.zeros((depth + steps, 1))
+        record[depth:] = rng.uniform(-1.0, 1.0, (steps, 1))
+        z = np.zeros((depth + steps + 1, 2))
+        for k in range(steps):
+            t = k * dt
+            x = rng.uniform(-1.0, 1.0, 2)
+            window = pred(x, record[k:depth + k])
+            zform = pred.from_integral(x, t, z[depth + k] - z[k])
+            np.testing.assert_allclose(zform, window, rtol=1e-9, atol=1e-12)
+            z[depth + k + 1] = z[depth + k] + pred.integral_step(t, record[depth + k])
 
     def test_naive_control(self):
-        gain = design_gain(ROBOT, [-5.0, -5.0])
-        sp = self.setpoint()
-        np.testing.assert_allclose(naive_control(gain, sp, sp.x_star), sp.u_star)
-        u = naive_control(gain, sp, sp.x_star + np.array([1.0, 0.0]))
-        np.testing.assert_allclose(u - sp.u_star, [-2.0, 0.0], atol=1e-15)
-        zero_gain = Gain(np.zeros((2, 2)))
-        np.testing.assert_allclose(naive_control(zero_gain, sp, [9.0, -9.0]), sp.u_star)
+        # plain state feedback through the discrete-matched gain, ignoring the delay
+        sc = loop_scenario(ROBOT, "naive", 0.01, 1.0, [0.0, 0.0], ref=[1.0, 0.5])
+        traj, _ = run(sc)
+        kd = matched_gain(ROBOT, sc.gain.K, sc.dt)
+        expected = sc.setpoint.u_star + (traj.states - sc.setpoint.x_star) @ kd.T
+        np.testing.assert_allclose(traj.controls, expected, atol=1e-15)
+        zero_gain = Scenario(plant=sc.plant, gain=Gain(np.zeros((2, 2))), setpoint=sc.setpoint,
+                             controller="naive", x0=np.array([9.0, -9.0]), dt=0.01, T=0.1)
+        traj, _ = run(zero_gain)
+        np.testing.assert_allclose(traj.controls, np.tile(sc.setpoint.u_star, (len(traj.t), 1)))

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from delaycomp.control import Gain, Setpoint, design_gain, make_setpoint, origin_setpoint
+from delaycomp.control import (
+    ZFORM_MAX_EXPONENT,
+    Gain,
+    Setpoint,
+    design_gain,
+    make_setpoint,
+    origin_setpoint,
+)
 from delaycomp.robot import LtiPlant, params_to_lti, RobotParams
 from delaycomp.sim import (
     Metrics,
@@ -13,10 +20,11 @@ from delaycomp.sim import (
     matched_gain,
     run,
     step_plant,
-    step_plant_rk4,
     sweep_delay,
 )
 from delaycomp.smallmat import mat_exp, zoh_discretize
+
+from conftest import step_plant_rk4
 
 ROBOT_PARAMS = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k_d=4.0)
 
@@ -130,6 +138,45 @@ class TestRun:
     def test_delay_must_align_with_dt(self):
         with pytest.raises(ValueError, match="multiple"):
             robot_scenario("naive", h=0.25, dt=0.1)
+
+
+class TestLongHorizon:
+    """The delay line is indexed by step, so no clock can drift at any horizon."""
+
+    @pytest.mark.parametrize("controller", ["naive", "predictor-window"])
+    @pytest.mark.parametrize("dt,T,h", [(0.01, 100.0, 0.3), (0.001, 10.0, 0.3), (0.007, 90.0, 0.294)])
+    def test_completes_past_former_clock_drift(self, controller, dt, T, h):
+        traj, metrics = run(robot_scenario(controller, h=h, dt=dt, T=T))
+        assert traj.status == "completed"
+        assert len(traj.t) == round(T / dt) + 1
+        if controller == "predictor-window":
+            assert metrics.max_prediction_error <= 1e-9
+
+    def test_zform_horizon_bound(self):
+        # ||A||_inf = 2 on the default robot; only the z form is bounded
+        longest = ZFORM_MAX_EXPONENT / 2.0
+        traj, metrics = run(robot_scenario("predictor-zform", dt=0.1, T=longest))
+        assert traj.status == "completed"
+        assert metrics.max_prediction_error <= 1e-9
+        with pytest.raises(ValueError, match="predictor-zform horizon"):
+            robot_scenario("predictor-zform", dt=0.1, T=longest + 0.1)
+        robot_scenario("predictor-window", dt=0.1, T=longest + 0.1)
+
+    def test_nonfinite_state_ends_as_diverged(self):
+        plant = LtiPlant(np.array([[50.0]]), np.array([[1.0]]), 1.0)
+        sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-51.0]]), plant),
+                      setpoint=origin_setpoint(plant), controller="naive", x0=np.array([1.0]),
+                      dt=0.01, T=30.0, divergence_threshold=math.inf)
+        traj, metrics = run(sc)
+        assert traj.status == "diverged" and metrics.diverged
+        assert np.all(np.isfinite(traj.states))
+        # t_d is the time of the first non-finite state, one step after the
+        # last recorded one
+        assert traj.t_d == pytest.approx(len(traj.t) * sc.dt)
+        ad, bd = zoh_discretize(plant.A, plant.B, sc.dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first_nonfinite = ad @ traj.states[-1] + bd @ traj.controls[len(traj.t) - 1 - 100]
+        assert not np.all(np.isfinite(first_nonfinite))
 
 
 class TestOrderCheck:
