@@ -13,13 +13,11 @@ from .control import (
 )
 from .robot import (
     LtiPlant,
-    Pose,
-    RobotControl,
     RobotParams,
     WheelForces,
     actuator_forces,
-    integrate_pose,
     params_to_lti,
+    pose_path,
 )
 from .sim import (
     CONTROLLERS,

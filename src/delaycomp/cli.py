@@ -110,21 +110,20 @@ def parse_config(text: str) -> Config:
             raise ConfigError(key, f"must be >= 0, got {value:g}")
         return value
 
-    try:
-        params = RobotParams(
-            m=positive("mass", number("mass")),
-            J=positive("inertia", number("inertia")),
-            B_v=non_negative("friction_v", number("friction_v")),
-            B_omega=non_negative("friction_w", number("friction_w")),
-            l=positive("wheel_base", number("wheel_base")),
-            k_m=number("gain_force"),
-            k_d=number("gain_torque"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        key = {"k_m": "gain_force", "k_d": "gain_torque"}.get(str(exc).split()[0], "robot")
-        raise ConfigError(key, str(exc)) from None
+    def nonzero(key: str, value: float) -> float:
+        if value == 0:
+            raise ConfigError(key, "must be nonzero")
+        return value
+
+    params = RobotParams(
+        m=positive("mass", number("mass")),
+        J=positive("inertia", number("inertia")),
+        B_v=non_negative("friction_v", number("friction_v")),
+        B_omega=non_negative("friction_w", number("friction_w")),
+        l=positive("wheel_base", number("wheel_base")),
+        k_m=nonzero("gain_force", number("gain_force")),
+        k_d=nonzero("gain_torque", number("gain_torque")),
+    )
 
     delay = non_negative("delay", number("delay"))
     dt = positive("dt", number("dt", 0.01))
@@ -172,9 +171,9 @@ def parse_config(text: str) -> Config:
     )
 
 
-def build_scenario(config: Config, controller: str | None = None, delay: float | None = None) -> Scenario:
+def build_scenario(config: Config, controller: str | None = None) -> Scenario:
     """Assemble the simulation scenario a config describes."""
-    plant = params_to_lti(config.params, config.delay if delay is None else delay)
+    plant = params_to_lti(config.params, config.delay)
     gain = design_gain(plant, config.poles)
     setpoint = make_setpoint(plant, [config.v_ref, config.w_ref])
     try:
@@ -198,17 +197,18 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+# One row template with the prediction fields and one that leaves them empty
+# (rows whose prediction is NaN, i.e. non-predictor controllers).
+_ROW = ",".join(["%.17g"] * 10)
+_ROW_NO_PRED = ",".join(["%.17g"] * 5 + ["", ""] + ["%.17g"] * 3)
+
+
 def write_trajectory_csv(path, traj: Trajectory) -> None:
+    table = np.column_stack([traj.t, traj.states, traj.controls, traj.predictions, traj.poses])
+    has_pred = ~np.any(np.isnan(traj.predictions), axis=1)
     lines = [CSV_HEADER]
-    for k in range(len(traj.t)):
-        pred = traj.predictions[k]
-        pred_cols = ["", ""] if np.any(np.isnan(pred)) else [_fmt(pred[0]), _fmt(pred[1])]
-        lines.append(",".join(
-            [_fmt(traj.t[k]), _fmt(traj.states[k][0]), _fmt(traj.states[k][1]),
-             _fmt(traj.controls[k][0]), _fmt(traj.controls[k][1])]
-            + pred_cols
-            + [_fmt(traj.poses[k][0]), _fmt(traj.poses[k][1]), _fmt(traj.poses[k][2])]
-        ))
+    for row, full in zip(table.tolist(), has_pred.tolist()):
+        lines.append(_ROW % tuple(row) if full else _ROW_NO_PRED % tuple(row[:5] + row[7:]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -265,12 +265,9 @@ def cmd_sweep(config: Config, h_min: float, h_max: float, steps: int) -> int:
     """Sweep the delay over a grid and tabulate naive vs. predictor metrics."""
     if steps < 1 or h_max < h_min or h_min < 0:
         raise _UsageError(f"invalid sweep range: h_min={h_min}, h_max={h_max}, steps={steps}")
-    grid = np.linspace(h_min, h_max, steps) if steps > 1 else np.array([h_min])
-    h_values = []
-    for h in grid:
-        h_rounded = round(h / config.dt) * config.dt
-        if not any(abs(h_rounded - prev) < 1e-12 for prev in h_values):
-            h_values.append(h_rounded)
+    # grid points rounded to whole steps, deduplicated in order
+    depths = dict.fromkeys(round(h / config.dt) for h in np.linspace(h_min, h_max, steps))
+    h_values = [depth * config.dt for depth in depths]
 
     base = build_scenario(config, controller="naive")
     results = sweep_delay(base, h_values)
@@ -350,15 +347,13 @@ def main(argv=None) -> int:
             return cmd_run(config, name=args.name, controller=args.controller)
         if args.command == "compare":
             return cmd_compare(config)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.h_min, args.h_max, args.steps)
+        return cmd_sweep(config, args.h_min, args.h_max, args.steps)  # the only other subcommand
     except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def console_main() -> None:

@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .robot import LtiPlant
-from .smallmat import as_vector, is_hurwitz, mat_exp, solve, zoh_discretize
+from .smallmat import as_vector, is_diagonal, is_hurwitz, mat_exp, solve, zoh_discretize
 
 # Largest ||A||_inf T a z-form scenario may have. It keeps e^{+-At} below
 # e^600 ~ 4e260, and bounds |z(t)| <= ||B|| max|u - u*| t e^{||A|| t}, so
@@ -110,8 +110,8 @@ def design_gain(plant: LtiPlant, desired_poles) -> Gain:
     A, B = plant.A, plant.B
     diag_ok = (
         plant.m_in == plant.n
-        and np.count_nonzero(A - np.diag(np.diagonal(A))) == 0
-        and np.count_nonzero(B - np.diag(np.diagonal(B))) == 0
+        and is_diagonal(A)
+        and is_diagonal(B)
         and np.all(np.diagonal(B) != 0)
     )
     if not diag_ok:
@@ -128,7 +128,7 @@ def equilibrium_input(plant: LtiPlant, x_star) -> np.ndarray:
     x_star = as_vector(x_star, plant.n, "x_star")
     if plant.m_in != plant.n:
         raise UnsupportedStructureError("equilibrium input needs a square input matrix")
-    return solve(plant.B.copy(), -plant.A @ x_star)
+    return solve(plant.B, -plant.A @ x_star)
 
 
 def make_setpoint(plant: LtiPlant, x_star) -> Setpoint:

@@ -6,9 +6,11 @@ The robot's longitudinal and rotational dynamics are
     J domega/dt = T - B_omega omega, T = k_d e_d,
 
 which reduce to a decoupled 2x2 LTI system in the state (v, omega) driven by
-the mean and differential motor voltages (e_m, e_d). The wheel-force split and
-the planar pose integration are diagnostics for trajectory output; they do not
-feed back into the control problem.
+the mean and differential motor voltages (e_m, e_d). The planar pose is an
+output diagnostic: :func:`pose_path` integrates it from the recorded
+velocities after a run, and it never feeds back into control. The wheel-force
+split (:func:`actuator_forces`) maps commanded voltages to per-wheel forces
+for callers that want them; the simulation does not use it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import as_matrix, as_vector
+from .smallmat import as_matrix
 
 
 @dataclass(frozen=True)
@@ -89,22 +91,6 @@ class LtiPlant:
 
 
 @dataclass(frozen=True)
-class RobotControl:
-    """Mean motor voltage e_m [V] and differential motor voltage e_d [V]."""
-
-    e_m: float
-    e_d: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e_m, self.e_d])
-
-    @classmethod
-    def from_array(cls, u) -> "RobotControl":
-        u = as_vector(u, 2, "robot control")
-        return cls(float(u[0]), float(u[1]))
-
-
-@dataclass(frozen=True)
 class WheelForces:
     """Net force/torque and their split into right/left wheel forces."""
 
@@ -112,15 +98,6 @@ class WheelForces:
     T: float
     F_R: float
     F_L: float
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Planar pose; heading is wrapped to (-pi, pi]."""
-
-    x_pos: float = 0.0
-    y_pos: float = 0.0
-    heading: float = 0.0
 
 
 def params_to_lti(p: RobotParams, h: float) -> LtiPlant:
@@ -135,15 +112,15 @@ def params_to_lti(p: RobotParams, h: float) -> LtiPlant:
     return LtiPlant(A, B, h)
 
 
-def actuator_forces(p: RobotParams, u: RobotControl) -> WheelForces:
-    """Per-wheel forces realizing the commanded voltages.
+def actuator_forces(p: RobotParams, e_m: float, e_d: float) -> WheelForces:
+    """Per-wheel forces realizing the mean and differential voltages [V].
 
     F = k_m e_m and T = k_d e_d; inverting the force/torque aggregation gives
     F_R = (F + T/l)/2 and F_L = (F - T/l)/2, so F_R + F_L = F and
     l (F_R - F_L) = T hold by construction.
     """
-    F = p.k_m * u.e_m
-    T = p.k_d * u.e_d
+    F = p.k_m * e_m
+    T = p.k_d * e_d
     half_diff = T / p.l / 2.0
     return WheelForces(F=F, T=T, F_R=F / 2.0 + half_diff, F_L=F / 2.0 - half_diff)
 
@@ -153,23 +130,29 @@ def wrap_angle(a: float) -> float:
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 
 
-def integrate_pose(pose: Pose, v: float, omega: float, dt: float) -> Pose:
-    """Advance the unicycle kinematics one RK4 step with (v, omega) held constant.
+def pose_path(velocities, dt: float) -> np.ndarray:
+    """Poses (x, y, heading) from the origin under (v, omega) held per step.
 
-    dx/dt = v cos(heading), dy/dt = v sin(heading), d(heading)/dt = omega.
+    ``velocities`` is (K, 2); row k of the (K + 1, 3) result is the pose after
+    steps 0..k-1 of classical RK4 on the unicycle kinematics. The heading is
+    wrapped to (-pi, pi] step by step, in sequence, as each step starts from
+    the wrapped value; the x/y increments then follow as arrays.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-
-    def deriv(psi):
-        return v * math.cos(psi), v * math.sin(psi), omega
-
-    psi = pose.heading
-    k1 = deriv(psi)
-    k2 = deriv(psi + 0.5 * dt * k1[2])
-    k3 = deriv(psi + 0.5 * dt * k2[2])
-    k4 = deriv(psi + dt * k3[2])
-    x = pose.x_pos + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    y = pose.y_pos + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    psi_new = psi + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return Pose(x, y, wrap_angle(psi_new))
+    vel = np.asarray(velocities, dtype=float)
+    if vel.ndim != 2 or vel.shape[1] != 2:
+        raise ValueError(f"velocities must have shape (K, 2), got {vel.shape}")
+    v, omega = vel[:, 0], vel[:, 1]
+    heading = [0.0]
+    for d in (dt / 6.0 * (omega + 2 * omega + 2 * omega + omega)).tolist():
+        heading.append(wrap_angle(heading[-1] + d))
+    out = np.zeros((len(vel) + 1, 3))
+    out[:, 2] = heading
+    psi = out[:-1, 2]
+    # k2 and k3 coincide: both evaluate at psi + dt/2 * omega
+    mid, end = psi + 0.5 * dt * omega, psi + dt * omega
+    for col, f in ((0, np.cos), (1, np.sin)):
+        k1, k2, k4 = v * f(psi), v * f(mid), v * f(end)
+        np.cumsum(dt / 6.0 * (k1 + 2 * k2 + 2 * k2 + k4), out=out[1:, col])
+    return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import ZFORM_MAX_EXPONENT, Gain, Predictor, Setpoint, delay_steps
-from .robot import LtiPlant, Pose, integrate_pose
+from .robot import LtiPlant, pose_path
 from .smallmat import SingularMatrixError, as_vector, mat_exp, solve, zoh_discretize
 
 CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
@@ -82,9 +82,11 @@ class Trajectory:
 
     ``predictions[k]`` is the forecast of the state at t_k + h issued at t_k
     (NaN rows for non-predictor controllers). ``controls`` is the tail of the
-    run's step-indexed control record. ``poses`` holds the integrated planar
-    pose for two-state (v, omega) plants and zeros otherwise. ``t_d`` is the
-    time of the state that ended a diverged run.
+    run's step-indexed control record. ``poses[k]`` is the planar pose after
+    steps 0..k-1, integrated from the recorded states of a two-state
+    (v, omega) plant by :func:`~delaycomp.robot.pose_path` once the run has
+    ended; zeros for other plants. ``t_d`` is the time of the state that
+    ended a diverged run.
     """
 
     t: np.ndarray
@@ -130,10 +132,9 @@ def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float) -> np.ndarray:
         return np.asarray(K, dtype=float)
     target = mat_exp(plant.A + plant.B @ K, dt) - Ad
     try:
-        cols = [solve(Bd.copy(), target[:, j]) for j in range(target.shape[1])]
+        return solve(Bd, target)
     except SingularMatrixError:
         return np.asarray(K, dtype=float)
-    return np.column_stack(cols)
 
 
 def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
@@ -145,7 +146,8 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     the window history[k:N+k] (z form: from its running integral, kept in a
     step-indexed array of the same kind), apply u = u* + Kd (xhat - x*),
     record, let the plant consume row N + k - lag (lag = N, or 0 for the
-    nodelay controller), integrate the pose and take one exact ZOH step.
+    nodelay controller) and take one exact ZOH step. The loop computes only
+    what feeds back; the poses are derived from the recorded states after it.
     Stops early, as diverged, on a state whose inf-norm exceeds the divergence
     threshold or is not finite; a non-finite state is not recorded.
     """
@@ -166,10 +168,8 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     t_arr = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, n))
     predictions = np.full((steps + 1, n), np.nan)
-    poses = np.zeros((steps + 1, 3))
 
     x = scenario.x0.copy()
-    pose = Pose()
     status, t_d = "completed", None
     # overflow is not an error here: it ends the run as diverged
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,7 +191,6 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
             states[k] = x
             if xhat is not None:
                 predictions[k] = xhat
-            poses[k] = (pose.x_pos, pose.y_pos, pose.heading)
 
             if not (np.abs(x).max() <= limit):
                 status, t_d = "diverged", k * dt
@@ -201,17 +200,17 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
 
             if z is not None:
                 z[N + k + 1] = z[N + k] + pred.integral_step(t_arr[k], u - u_star)
-            if n == 2:
-                pose = integrate_pose(pose, x[0], x[1], dt)
             x = Ad @ x + Bd @ history[N + k - lag]
-    recorded = k + 1 if np.all(np.isfinite(x)) else k
+        recorded = k + 1 if np.all(np.isfinite(x)) else k
+        # row k uses the velocities of steps 0..k-1
+        poses = pose_path(states[:recorded - 1], dt) if n == 2 else np.zeros((recorded, 3))
 
     traj = Trajectory(
         t=t_arr[:recorded],
         states=states[:recorded],
         controls=history[N:N + recorded],
         predictions=predictions[:recorded],
-        poses=poses[:recorded],
+        poses=poses,
         status=status,
         t_d=t_d,
         dt=dt,

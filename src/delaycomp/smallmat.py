@@ -1,4 +1,4 @@
-"""Small dense matrix algebra with explicit, dependency-free numerics.
+"""Small dense matrix algebra with explicit numerics on numpy alone.
 
 Everything downstream (plant discretization, state prediction, the delay
 regulator) reduces to a handful of primitives on small real matrices:
@@ -9,7 +9,8 @@ regulator) reduces to a handful of primitives on small real matrices:
                   block exponential (valid for singular A),
 - ``is_hurwitz``  strict stability test through characteristic-polynomial
                   coefficients and a Routh array (no iterative eigensolver),
-- ``solve``       partial-pivot Gaussian elimination.
+- ``solve``       ``numpy.linalg.solve`` behind an explicit singular-value
+                  test.
 
 Matrices and vectors are plain ``numpy`` float arrays; the helpers here only
 validate shape and finiteness. Dimensions up to ``MAX_DIM`` are supported.
@@ -59,7 +60,8 @@ def as_vector(entries, n: int | None = None, name: str = "vector") -> np.ndarray
     return v
 
 
-def _is_diagonal(a: np.ndarray) -> bool:
+def is_diagonal(a: np.ndarray) -> bool:
+    """True iff every off-diagonal entry of ``a`` is exactly zero."""
     return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
 
 
@@ -76,7 +78,7 @@ def mat_exp(A, t: float = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(A)) or not math.isfinite(t):
         raise ValueError("mat_exp arguments must be finite")
     M = A * t
-    if _is_diagonal(M):
+    if is_diagonal(M):
         return np.diag(np.exp(np.diagonal(M)))
 
     norm = np.linalg.norm(M, np.inf)
@@ -104,14 +106,12 @@ def zoh_discretize(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
     the augmented block matrix ``[[A, B], [0, 0]]`` so that singular ``A`` is
     handled without special cases.
     """
-    A = np.asarray(A, dtype=float)
+    A = as_matrix(A, "A")
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"B row count {B.shape[0]} does not match A dimension {A.shape[0]}")
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(B)):
-        raise ValueError("zoh_discretize arguments must be finite")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("B has non-finite entries")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be > 0, got {dt}")
     n, m = B.shape
@@ -182,33 +182,17 @@ def is_hurwitz(M) -> bool:
 
 
 def solve(M, b) -> np.ndarray:
-    """Solve ``M x = b`` by Gaussian elimination with partial pivoting.
+    """Solve ``M x = b`` for a vector or matrix right-hand side ``b``.
 
-    Raises :class:`SingularMatrixError` when a pivot falls below
-    ``1e-12 * max|M|``.
+    Raises :class:`SingularMatrixError` when the smallest singular value of
+    ``M`` falls below ``1e-12`` times the largest (on a diagonal matrix, the
+    same rule as a pivot below ``1e-12 * max|M|``).
     """
-    M = np.array(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"solve needs a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    x = as_vector(b, n, "right-hand side").copy()
-    if not np.all(np.isfinite(M)):
-        raise ValueError("solve matrix has non-finite entries")
-    scale = np.max(np.abs(M))
-    tol = 1e-12 * (scale if scale > 0 else 1.0)
-
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(M[col:, col])))
-        if abs(M[piv, col]) < tol:
-            raise SingularMatrixError(f"matrix singular to working precision (pivot column {col})")
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            x[[col, piv]] = x[[piv, col]]
-        for row in range(col + 1, n):
-            f = M[row, col] / M[col, col]
-            if f != 0.0:
-                M[row, col:] -= f * M[col, col:]
-                x[row] -= f * x[col]
-    for col in range(n - 1, -1, -1):
-        x[col] = (x[col] - M[col, col + 1 :] @ x[col + 1 :]) / M[col, col]
-    return x
+    M = as_matrix(M, "solve matrix")
+    b = np.array(b, dtype=float, ndmin=1)
+    if b.ndim > 2 or b.shape[0] != M.shape[0] or not np.all(np.isfinite(b)):
+        raise ValueError(f"right-hand side must be finite with {M.shape[0]} rows, got shape {b.shape}")
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] < 1e-12 * (sv[0] if sv[0] > 0 else 1.0):
+        raise SingularMatrixError("matrix singular to working precision")
+    return np.linalg.solve(M, b)

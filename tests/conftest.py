@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,29 @@ def step_plant_rk4(plant, x, u_delayed, dt):
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)
     return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def pose_oracle(velocities, dt):
+    """Planar poses by the scalar RK4 recurrence, one step at a time.
+
+    Row k is the pose after the first k (v, omega) steps from the origin;
+    the heading is wrapped to (-pi, pi] after every step. Reference for the
+    vectorized ``robot.pose_path``.
+    """
+    x = y = psi = 0.0
+    rows = [(x, y, psi)]
+    for v, omega in np.asarray(velocities, dtype=float):
+
+        def deriv(p):
+            return v * math.cos(p), v * math.sin(p), omega
+
+        k1 = deriv(psi)
+        k2 = deriv(psi + 0.5 * dt * k1[2])
+        k3 = deriv(psi + 0.5 * dt * k2[2])
+        k4 = deriv(psi + dt * k3[2])
+        x = x + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        y = y + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        psi = psi + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        psi = math.pi - (math.pi - psi) % (2.0 * math.pi)
+        rows.append((x, y, psi))
+    return np.array(rows)

@@ -68,6 +68,12 @@ class TestParseConfig:
         assert err.value.key == key
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("key", ["gain_force", "gain_torque"])
+    def test_zero_actuator_gain(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace(f"{key} = ", f"{key} = 0 #"))
+        assert err.value.key == key
+
     def test_delay_integrality(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL.replace("delay = 0.3", "delay = 0.25") + "dt = 0.1\n")
@@ -119,6 +125,30 @@ class TestRunCommand:
         np.testing.assert_array_equal(loaded["e_m"], traj.controls[:, 0])
         np.testing.assert_array_equal(loaded["v_pred"], traj.predictions[:, 0])
         np.testing.assert_array_equal(loaded["heading"], traj.poses[:, 2])
+
+    @pytest.mark.parametrize("controller", ["predictor-window", "naive"])
+    def test_csv_text_matches_per_field_format(self, tmp_path, controller):
+        from delaycomp.cli import build_scenario
+        from delaycomp.sim import run as sim_run
+
+        cfg_path = write_config(tmp_path, extra="horizon = 2\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--controller", controller, "--out-dir", str(out)]
+        assert cli.main(argv) == EXIT_OK
+        config = parse_config(cfg_path.read_text())
+        traj, _ = sim_run(build_scenario(config, controller=controller))
+
+        def fields(values):
+            return [format(v, ".17g") for v in values]
+
+        lines = [CSV_HEADER]
+        for k in range(len(traj.t)):
+            pred = traj.predictions[k]
+            pred_fields = ["", ""] if np.any(np.isnan(pred)) else fields(pred)
+            lines.append(",".join(
+                fields([traj.t[k], *traj.states[k], *traj.controls[k]]) + pred_fields + fields(traj.poses[k])
+            ))
+        assert (out / f"{controller}.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_nonpredictor_leaves_prediction_columns_empty(self, tmp_path):
         cfg = write_config(tmp_path, extra="controller = naive\nhorizon = 1\n")

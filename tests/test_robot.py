@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycomp.robot import (
-    Pose,
-    RobotControl,
     RobotParams,
     actuator_forces,
-    integrate_pose,
     params_to_lti,
+    pose_path,
     wrap_angle,
 )
 from delaycomp.smallmat import is_hurwitz
+
+from conftest import pose_oracle
 
 DEFAULT = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k_d=4.0)
 
@@ -66,55 +66,72 @@ class TestParamsToLti:
 class TestActuatorForces:
     def test_example(self):
         p = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k_d=1.0)
-        wf = actuator_forces(p, RobotControl(3.0, 1.0))
+        wf = actuator_forces(p, 3.0, 1.0)
         assert (wf.F, wf.T, wf.F_R, wf.F_L) == (6.0, 1.0, 4.0, 2.0)
 
     def test_zero(self):
-        wf = actuator_forces(DEFAULT, RobotControl(0.0, 0.0))
+        wf = actuator_forces(DEFAULT, 0.0, 0.0)
         assert (wf.F, wf.T, wf.F_R, wf.F_L) == (0.0, 0.0, 0.0, 0.0)
 
     def test_symmetric_drive(self):
-        wf = actuator_forces(DEFAULT, RobotControl(1.0, 0.0))
+        wf = actuator_forces(DEFAULT, 1.0, 0.0)
         assert wf.F_R == wf.F_L == DEFAULT.k_m / 2.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     def test_round_trip(self, e_m, e_d):
-        wf = actuator_forces(DEFAULT, RobotControl(e_m, e_d))
+        wf = actuator_forces(DEFAULT, e_m, e_d)
         assert wf.F_R + wf.F_L == pytest.approx(wf.F, abs=1e-14 * (1 + abs(wf.F)))
         assert DEFAULT.l * (wf.F_R - wf.F_L) == pytest.approx(wf.T, abs=1e-14 * (1 + abs(wf.T)))
 
 
 class TestPose:
     def test_straight_line(self):
-        pose = integrate_pose(Pose(), v=1.0, omega=0.0, dt=2.0)
-        assert (pose.x_pos, pose.y_pos, pose.heading) == (2.0, 0.0, 0.0)
+        path = pose_path([[1.0, 0.0]], dt=2.0)
+        assert path.tolist() == [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
 
     def test_spin_in_place(self):
-        pose = integrate_pose(Pose(), v=0.0, omega=1.0, dt=math.pi)
-        assert pose.x_pos == 0.0 and pose.y_pos == 0.0
-        assert pose.heading == pytest.approx(math.pi, abs=1e-12)
+        x, y, heading = pose_path([[0.0, 1.0]], dt=math.pi)[-1]
+        assert x == 0.0 and y == 0.0
+        assert heading == pytest.approx(math.pi, abs=1e-12)
 
     def test_unit_circle_arc(self):
-        pose = Pose()
         steps = 2000
         dt = (math.pi / 2) / steps
-        for _ in range(steps):
-            pose = integrate_pose(pose, v=1.0, omega=1.0, dt=dt)
-        assert pose.x_pos == pytest.approx(1.0, abs=1e-6)
-        assert pose.y_pos == pytest.approx(1.0, abs=1e-6)
-        assert pose.heading == pytest.approx(math.pi / 2, abs=1e-6)
+        path = pose_path(np.ones((steps, 2)), dt=dt)
+        assert path.shape == (steps + 1, 3)
+        x, y, heading = path[-1]
+        assert x == pytest.approx(1.0, abs=1e-6)
+        assert y == pytest.approx(1.0, abs=1e-6)
+        assert heading == pytest.approx(math.pi / 2, abs=1e-6)
 
     def test_zero_omega_exact_heading(self):
-        pose = Pose(0.0, 0.0, 0.7)
-        out = integrate_pose(pose, v=2.0, omega=0.0, dt=0.25)
-        assert out.heading == pytest.approx(0.7, abs=1e-15)
-        assert out.x_pos == pytest.approx(0.5 * math.cos(0.7), abs=1e-12)
-        assert out.y_pos == pytest.approx(0.5 * math.sin(0.7), abs=1e-12)
+        # turn to about 0.7 rad in place, then drive straight at v = 2
+        path = pose_path([[0.0, 0.7 / 0.25], [2.0, 0.0]], dt=0.25)
+        turned = path[1, 2]
+        assert turned == pytest.approx(0.7, abs=1e-12)
+        assert path[2, 2] == pytest.approx(turned, abs=1e-15)
+        assert path[2, 0] == pytest.approx(0.5 * math.cos(turned), abs=1e-12)
+        assert path[2, 1] == pytest.approx(0.5 * math.sin(turned), abs=1e-12)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            integrate_pose(Pose(), 1.0, 0.0, 0.0)
+            pose_path([[1.0, 0.0]], 0.0)
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            pose_path([1.0, 0.0], 0.1)
+
+    def test_empty_path_is_origin(self):
+        assert pose_path(np.empty((0, 2)), 0.1).tolist() == [[0.0, 0.0, 0.0]]
+
+    def test_matches_scalar_recurrence(self, rng):
+        # long enough for the heading to wrap many times
+        velocities = np.column_stack([rng.uniform(-3.0, 3.0, 1000), rng.uniform(-20.0, 20.0, 1000)])
+        path = pose_path(velocities, 0.05)
+        expected = pose_oracle(velocities, 0.05)
+        assert path.shape == (1001, 3)
+        np.testing.assert_allclose(path, expected, rtol=0, atol=1e-12)
 
 
 class TestWrapAngle:

@@ -1,0 +1,20 @@
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_compare_demo(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "compare_demo.py"), run_name="__main__")
+    assert exc.value.code == 0
+    rows = {}
+    for line in (tmp_path / "out" / "compare.txt").read_text().splitlines()[2:]:
+        fields = line.split()
+        rows[fields[0]] = (fields[1], fields[-1])  # (settled, diverged)
+    assert rows == {"naive": ("no", "yes"), "predictor-window": ("yes", "no")}

@@ -24,7 +24,7 @@ from delaycomp.sim import (
 )
 from delaycomp.smallmat import mat_exp, zoh_discretize
 
-from conftest import step_plant_rk4
+from conftest import pose_oracle, step_plant_rk4
 
 ROBOT_PARAMS = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k_d=4.0)
 
@@ -177,6 +177,24 @@ class TestLongHorizon:
         with np.errstate(over="ignore", invalid="ignore"):
             first_nonfinite = ad @ traj.states[-1] + bd @ traj.controls[len(traj.t) - 1 - 100]
         assert not np.all(np.isfinite(first_nonfinite))
+
+
+class TestPoses:
+    @pytest.mark.parametrize("controller,h,T,x0,status", [
+        ("predictor-window", 0.3, 10.0, (0.0, 0.0), "completed"),
+        ("naive", 1.0, 60.0, (0.3, -2.0), "diverged"),
+    ])
+    def test_follow_recorded_states(self, controller, h, T, x0, status):
+        traj, _ = run(robot_scenario(controller, h=h, T=T, x0=x0))
+        assert traj.status == status
+        assert traj.poses.shape == (len(traj.t), 3)
+        # row k is the pose after steps 0..k-1
+        expected = pose_oracle(traj.states[:-1], traj.dt)
+        np.testing.assert_allclose(traj.poses, expected, rtol=1e-12, atol=1e-12)
+
+    def test_zero_for_other_plants(self):
+        traj, _ = run(scalar_scenario("naive", k=-1.0, h=0.5, T=1.0))
+        np.testing.assert_array_equal(traj.poses, np.zeros((len(traj.t), 3)))
 
 
 class TestOrderCheck:

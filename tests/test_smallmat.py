@@ -163,3 +163,33 @@ class TestSolve:
             b = rng.uniform(-1.0, 1.0, n)
             x = solve(m, b)
             assert np.linalg.norm(m @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+
+    def test_pivot_threshold(self):
+        with pytest.raises(SingularMatrixError):
+            solve(np.diag([1.0, 1e-13]), [1.0, 1.0])
+        np.testing.assert_allclose(solve(np.diag([1.0, 1e-11]), [1.0, 1.0]), [1.0, 1e11], rtol=1e-15)
+
+    def test_zero_matrix(self):
+        with pytest.raises(SingularMatrixError):
+            solve(np.zeros((2, 2)), [1.0, 2.0])
+
+    def test_matrix_right_hand_side(self, rng):
+        m = random_matrix(rng, 3, 2.0) + np.eye(3)
+        b = rng.uniform(-1.0, 1.0, (3, 4))
+        x = solve(m, b)
+        assert x.shape == (3, 4)
+        for j in range(4):
+            np.testing.assert_allclose(x[:, j], solve(m, b[:, j]), rtol=1e-14, atol=1e-15)
+
+    def test_rejects_bad_right_hand_side(self):
+        with pytest.raises(ValueError, match="rows"):
+            solve(np.eye(2), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            solve(np.eye(2), [1.0, np.nan])
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(np.array([[1.0, np.inf], [0.0, 1.0]]), [1.0, 1.0])
+
+    def test_leaves_inputs_unchanged(self):
+        m, b = np.array([[0.0, 2.0], [1.0, 1.0]]), np.array([2.0, 3.0])
+        np.testing.assert_allclose(solve(m, b), [2.0, 1.0])
+        assert m.tolist() == [[0.0, 2.0], [1.0, 1.0]] and b.tolist() == [2.0, 3.0]
