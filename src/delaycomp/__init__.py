@@ -26,7 +26,6 @@ from .sim import (
     Trajectory,
     compute_metrics,
     run,
-    step_plant,
     sweep_delay,
 )
 from .smallmat import SingularMatrixError, is_hurwitz, mat_exp, solve, zoh_discretize

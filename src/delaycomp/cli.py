@@ -354,6 +354,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        steps = round(config.horizon / config.dt)
+        print(f"usage error: config keys 'horizon'/'dt': {steps:.3g} steps do not fit in memory; "
+              "shorten horizon or raise dt", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def console_main() -> None:

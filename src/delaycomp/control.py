@@ -180,16 +180,27 @@ class Predictor:
         ``(N, m)`` window of held inputs, oldest first."""
         return self.exp_h @ x + self.G @ window.ravel()
 
-    def from_integral(self, x: np.ndarray, t: float, dz: np.ndarray) -> np.ndarray:
-        """z form: e^{Ah} x + e^{At} dz, with dz = z(t) - z(t - h)."""
-        return self.exp_h @ x + mat_exp(self.A, t) @ dz
+    def forecasts(self, states: np.ndarray, history: np.ndarray) -> np.ndarray:
+        """Window-form forecasts along a run: row k is
+        ``self(states[k], history[k:k + N])`` for the ``(R, n)`` states and
+        a control record of at least R + N - 1 rows, summed one block of G
+        at a time, so no ``(R, N m)`` window copy is built."""
+        rows, m = len(states), history.shape[1]
+        out = states @ self.exp_h.T
+        for i in range(self.depth):
+            out += history[i:i + rows] @ self.G[:, i * m:(i + 1) * m].T
+        return out
+
+    def integral_factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """z-form factors at the sample times ``t``, one batched exponential
+        per sign: ``e^{A t_k}``, which maps dz = z(t_k) - z(t_k - h) into the
+        forecast e^{Ah} x + e^{A t_k} dz, and
+        ``e^{-A t_k} (integral_0^dt e^{-As} ds) B``, which maps the input
+        held over [t_k, t_k + dt) to z(t_k + dt) - z(t_k). Each factor comes
+        from its own t_k, never from a product of step exponentials."""
+        return mat_exp(self.A, t), mat_exp(self.A, -t) @ self._gamma
 
     @cached_property
     def _gamma(self) -> np.ndarray:
         """integral_0^dt e^{-As} ds B, the z form's per-step input map."""
         return zoh_discretize(-self.A, self.B, self.dt)[1]
-
-    def integral_step(self, t: float, u: np.ndarray) -> np.ndarray:
-        """z(t + dt) - z(t) for the input ``u`` held over [t, t + dt):
-        e^{-At} (integral_0^dt e^{-As} ds) B u."""
-        return mat_exp(self.A, -t) @ (self._gamma @ u)

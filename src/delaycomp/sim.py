@@ -28,6 +28,9 @@ from .smallmat import SingularMatrixError, as_vector, mat_exp, solve, zoh_discre
 
 CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
 
+# Steps between two divergence scans of the recorded states.
+_SCAN_BLOCK = 128
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -112,14 +115,6 @@ class Metrics:
     diverged: bool
 
 
-def step_plant(plant: LtiPlant, x, u_delayed, dt: float) -> np.ndarray:
-    """One exact ZOH step: x+ = Ad x + Bd u with the delayed input held."""
-    x = as_vector(x, plant.n, "state")
-    u = as_vector(u_delayed, plant.m_in, "control")
-    Ad, Bd = zoh_discretize(plant.A, plant.B, dt)
-    return Ad @ x + Bd @ u
-
-
 def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float) -> np.ndarray:
     """Discrete-matched feedback gain for the sampling period ``dt``.
 
@@ -142,74 +137,92 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
 
     The delay line is the control record ``history``, indexed by step: rows
     0..N-1 hold u* over [-h, 0) and row N + k holds the control issued at t_k,
-    so no clock can drift. Per sample k: forecast x(t_k + h) from x(t_k) and
-    the window history[k:N+k] (z form: from its running integral, kept in a
-    step-indexed array of the same kind), apply u = u* + Kd (xhat - x*),
-    record, let the plant consume row N + k - lag (lag = N, or 0 for the
-    nodelay controller) and take one exact ZOH step. The loop computes only
-    what feeds back; the poses are derived from the recorded states after it.
-    Stops early, as diverged, on a state whose inf-norm exceeds the divergence
-    threshold or is not finite; a non-finite state is not recorded.
+    so no clock can drift. Setpoint and gain fold into one affine control map
+    per scenario, u = c + F x (+ H w) with c = u* - Kd x*: the window form
+    uses F = Kd e^{Ah} and H = Kd G on the window w = history[k:N+k]; naive
+    and nodelay feedback use F = Kd; the z form computes its forecast in the
+    loop from the running integral z (a step-indexed array of the same kind,
+    its exponentials taken per block in one batched call) and feeds it back
+    through F = Kd. The plant consumes row N + k - lag (lag = N, or 0 for
+    nodelay) in one exact ZOH step, written into the next state row.
+
+    Divergence is scanned once per ``_SCAN_BLOCK`` steps, and the run is cut
+    where a per-step test would cut it: at the first state whose inf-norm
+    exceeds the threshold or is not finite, as diverged at that state's time;
+    a non-finite state is not recorded. The window form's forecasts and the
+    poses are derived from the recorded arrays after the loop.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
-    dt, n = scenario.dt, plant.n
+    dt, n, m = scenario.dt, plant.n, plant.m_in
     steps = round(scenario.T / dt)
     pred = Predictor(plant, dt)
-    N, Ad, Bd = pred.depth, pred.Ad, pred.Bd
+    N, Ad, Bd, exp_h = pred.depth, pred.Ad, pred.Bd, pred.exp_h
     lag = 0 if controller == "nodelay" else N
+    window, zform = controller == "predictor-window", controller == "predictor-zform"
     Kd = matched_gain(plant, scenario.gain.K, dt)
     x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
+    c = u_star - Kd @ x_star
+    F, H = (Kd @ exp_h, Kd @ pred.G) if window else (Kd, None)
     # capped so that a threshold of inf still stops on an infinite state
     limit = min(scenario.divergence_threshold, np.finfo(float).max)
 
-    history = np.empty((N + steps + 1, plant.m_in))
+    history = np.empty((N + steps + 1, m))
     history[:N] = u_star
-    z = np.zeros((N + steps + 1, n)) if controller == "predictor-zform" else None
+    flat = history.reshape(-1)  # window k is flat[k m:(N + k) m]
+    # row steps + 1 takes the step after the last sample and is not recorded
+    states = np.empty((steps + 2, n))
+    states[0] = scenario.x0
     t_arr = np.arange(steps + 1) * dt
-    states = np.empty((steps + 1, n))
-    predictions = np.full((steps + 1, n), np.nan)
+    if zform:
+        z = np.zeros((N + steps + 2, n))
+        predictions = np.empty((steps + 1, n))
+        offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{At} dz
 
-    x = scenario.x0.copy()
-    status, t_d = "completed", None
+    status, t_d, recorded = "completed", None, steps + 1
     # overflow is not an error here: it ends the run as diverged
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            if controller == "predictor-window":
-                xhat = pred(x, history[k:N + k])
-                dev = xhat - x_star
-            elif z is not None:
-                dev = pred.from_integral(x - x_star, t_arr[k], z[N + k] - z[k])
-                xhat = x_star + dev
-            else:
-                xhat = None
-                dev = x - x_star
-            u = u_star + Kd @ dev
-            if e_max is not None:
-                u = np.clip(u, -e_max, e_max)
-
-            history[N + k] = u
-            states[k] = x
-            if xhat is not None:
-                predictions[k] = xhat
-
-            if not (np.abs(x).max() <= limit):
+        for k0 in range(0, steps + 1, _SCAN_BLOCK):
+            k1 = min(k0 + _SCAN_BLOCK, steps + 1)
+            if zform:
+                exp_t, z_gain = pred.integral_factors(t_arr[k0:k1])
+            for k in range(k0, k1):
+                x = states[k]
+                if window:
+                    u = c + F.dot(x) + H.dot(flat[k * m:(N + k) * m])
+                elif zform:
+                    j, z_now = k - k0, z[N + k]
+                    xhat = exp_h.dot(x) + offset + exp_t[j].dot(z_now - z[k])
+                    predictions[k] = xhat
+                    u = c + F.dot(xhat)
+                else:
+                    u = c + F.dot(x)
+                if e_max is not None:
+                    u = u.clip(-e_max, e_max)
+                history[N + k] = u
+                if zform:
+                    z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
+                states[k + 1] = Ad.dot(x) + Bd.dot(history[N + k - lag])
+            ok = np.abs(states[k0:k1]).max(axis=1) <= limit
+            if not ok.all():
+                k = k0 + int(np.argmin(ok))
                 status, t_d = "diverged", k * dt
+                recorded = k + 1 if np.all(np.isfinite(states[k])) else k
                 break
-            if k == steps:
-                break
-
-            if z is not None:
-                z[N + k + 1] = z[N + k] + pred.integral_step(t_arr[k], u - u_star)
-            x = Ad @ x + Bd @ history[N + k - lag]
-        recorded = k + 1 if np.all(np.isfinite(x)) else k
+        states = states[:recorded]
+        if window:
+            predictions = pred.forecasts(states, history)
+        elif zform:
+            predictions = predictions[:recorded]
+        else:
+            predictions = np.full((recorded, n), np.nan)
         # row k uses the velocities of steps 0..k-1
-        poses = pose_path(states[:recorded - 1], dt) if n == 2 else np.zeros((recorded, 3))
+        poses = pose_path(states[:-1], dt) if n == 2 else np.zeros((recorded, 3))
 
     traj = Trajectory(
         t=t_arr[:recorded],
-        states=states[:recorded],
+        states=states,
         controls=history[N:N + recorded],
-        predictions=predictions[:recorded],
+        predictions=predictions,
         poses=poses,
         status=status,
         t_d=t_d,

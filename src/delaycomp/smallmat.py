@@ -65,36 +65,41 @@ def is_diagonal(a: np.ndarray) -> bool:
     return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
 
 
-def mat_exp(A, t: float = 1.0) -> np.ndarray:
+def mat_exp(A, t=1.0) -> np.ndarray:
     """Matrix exponential e^{A t}.
 
-    ``t`` may be negative. Diagonal matrices short-circuit to scalar
-    exponentials; otherwise the argument is scaled so its inf-norm is at most
-    0.5, expanded in a truncated power series and squared back up.
+    ``t`` may be negative, and may be a 1-D array of times: the result is
+    then the stack of e^{A t_k}, each computed from its own t_k in one
+    batched pass. Diagonal matrices short-circuit to scalar exponentials;
+    otherwise each argument is scaled so its inf-norm is at most 0.5,
+    expanded in a truncated power series and squared back up.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"mat_exp needs a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)) or not math.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"mat_exp times must be a scalar or 1-D, got shape {t.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(t).all()):
         raise ValueError("mat_exp arguments must be finite")
-    M = A * t
-    if is_diagonal(M):
-        return np.diag(np.exp(np.diagonal(M)))
+    n = A.shape[0]
+    if is_diagonal(A):
+        out = np.zeros(t.shape + (n, n))
+        out.reshape(t.shape + (n * n,))[..., :: n + 1] = np.exp(t[..., None] * np.diagonal(A))
+        return out
 
-    norm = np.linalg.norm(M, np.inf)
-    squarings = 0
-    if norm > _SCALE_TARGET:
-        squarings = int(math.ceil(math.log2(norm / _SCALE_TARGET)))
-        M = M / (2.0**squarings)
+    M = A * t[..., None, None]
+    norm = np.abs(M).sum(axis=-1).max(axis=-1)  # inf-norm of each argument
+    squarings = np.ceil(np.log2(np.maximum(norm, _SCALE_TARGET) / _SCALE_TARGET))
+    M = M / (2.0**squarings)[..., None, None]
 
-    n = M.shape[0]
     result = np.eye(n)
     term = np.eye(n)
     for k in range(1, _SERIES_ORDER + 1):
         term = term @ M / k
         result = result + term
-    for _ in range(squarings):
-        result = result @ result
+    for i in range(int(np.max(squarings))):
+        result = np.where(squarings[..., None, None] > i, result @ result, result)
     return result
 
 

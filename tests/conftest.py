@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from delaycomp.control import Predictor
+from delaycomp.sim import matched_gain
+from delaycomp.smallmat import mat_exp, zoh_discretize
+
 
 @pytest.fixture
 def rng():
@@ -36,6 +40,13 @@ def rk4_zoh_oracle(A, B, x0, holds, dt, substeps=1000):
             k4 = A @ (x + hsub * k3) + bu
             x = x + hsub / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
+
+
+def step_plant_exact(plant, x, u_delayed, dt):
+    """One exact ZOH step, x+ = Ad x + Bd u with the delayed input held,
+    discretizing the plant on every call."""
+    Ad, Bd = zoh_discretize(plant.A, plant.B, dt)
+    return Ad @ np.asarray(x, dtype=float) + Bd @ np.asarray(u_delayed, dtype=float)
 
 
 def step_plant_rk4(plant, x, u_delayed, dt):
@@ -82,3 +93,65 @@ def pose_oracle(velocities, dt):
         psi = math.pi - (math.pi - psi) % (2.0 * math.pi)
         rows.append((x, y, psi))
     return np.array(rows)
+
+
+def run_oracle(scenario):
+    """The run loop as one step at a time: forecast, control, record, a
+    divergence test on every state, then one exact ZOH step.
+
+    Reference for ``sim.run``, which folds the setpoint and gain into one
+    affine map, scans for divergence per block and fills the window-form
+    forecasts after the loop. Returns ``(t, states, controls, predictions,
+    status, t_d)``.
+    """
+    plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
+    dt, n = scenario.dt, plant.n
+    steps = round(scenario.T / dt)
+    pred = Predictor(plant, dt)
+    N, Ad, Bd = pred.depth, pred.Ad, pred.Bd
+    lag = 0 if controller == "nodelay" else N
+    Kd = matched_gain(plant, scenario.gain.K, dt)
+    gamma = zoh_discretize(-plant.A, plant.B, dt)[1]
+    x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
+    limit = min(scenario.divergence_threshold, np.finfo(float).max)
+
+    history = np.empty((N + steps + 1, plant.m_in))
+    history[:N] = u_star
+    z = np.zeros((N + steps + 1, n))
+    t_arr = np.arange(steps + 1) * dt
+    states = np.empty((steps + 1, n))
+    predictions = np.full((steps + 1, n), np.nan)
+
+    x = scenario.x0.copy()
+    status, t_d = "completed", None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            if controller == "predictor-window":
+                xhat = pred(x, history[k:N + k])
+                dev = xhat - x_star
+            elif controller == "predictor-zform":
+                dev = pred.exp_h @ (x - x_star) + mat_exp(plant.A, t_arr[k]) @ (z[N + k] - z[k])
+                xhat = x_star + dev
+            else:
+                xhat = None
+                dev = x - x_star
+            u = u_star + Kd @ dev
+            if e_max is not None:
+                u = np.clip(u, -e_max, e_max)
+
+            history[N + k] = u
+            states[k] = x
+            if xhat is not None:
+                predictions[k] = xhat
+
+            if not (np.abs(x).max() <= limit):
+                status, t_d = "diverged", k * dt
+                break
+            if k == steps:
+                break
+
+            z[N + k + 1] = z[N + k] + mat_exp(plant.A, -t_arr[k]) @ (gamma @ (u - u_star))
+            x = Ad @ x + Bd @ history[N + k - lag]
+        recorded = k + 1 if np.all(np.isfinite(x)) else k
+    return (t_arr[:recorded], states[:recorded], history[N:N + recorded],
+            predictions[:recorded], status, t_d)

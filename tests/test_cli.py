@@ -197,6 +197,15 @@ class TestRunCommand:
         assert len(err.splitlines()) == 1
         assert "'horizon'" in err
 
+    def test_horizon_too_large_for_memory(self, tmp_path, capsys):
+        # 1e17 steps: numpy refuses the allocation at once
+        cfg = write_config(tmp_path, extra="horizon = 1e15\n")
+        code = cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "'horizon'/'dt'" in err
+
     def test_controller_override(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 1\n")
         out = tmp_path / "out"

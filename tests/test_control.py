@@ -229,14 +229,29 @@ class TestRegulator:
 
     def test_step_scalar_integral(self):
         pred = Predictor(scalar_plant(-1.0, 1.0, 0.3), 0.1)
-        assert pred.integral_step(0.0, np.array([1.0]))[0] == pytest.approx(math.e**0.1 - 1.0, rel=1e-12)
+        exp_t, z_gain = pred.integral_factors(np.array([0.0, 0.1]))
+        assert z_gain[0] @ np.array([1.0]) == pytest.approx([math.e**0.1 - 1.0], rel=1e-12)
         # dz = e^{-At} dz(0) on a later interval
-        later = pred.integral_step(0.1, np.array([1.0]))[0]
+        later = (z_gain[1] @ np.array([1.0]))[0]
         assert later == pytest.approx(math.e**0.1 * (math.e**0.1 - 1.0), rel=1e-12)
+        np.testing.assert_allclose(exp_t[:, 0, 0], [1.0, math.e**-0.1], rtol=1e-15)
 
     def test_step_zero_input(self):
         pred = Predictor(scalar_plant(-1.0, 1.0, 0.3), 0.1)
-        assert pred.integral_step(0.4, np.zeros(1))[0] == 0.0
+        _, z_gain = pred.integral_factors(np.array([0.4]))
+        assert (z_gain[0] @ np.zeros(1))[0] == 0.0
+
+    def test_factors_come_from_each_time(self, rng):
+        # one batched call gives, for every t_k, exactly the exponentials
+        # computed from t_k on its own
+        plant = LtiPlant(np.array([[-1.0, 0.5], [0.0, 0.3]]), np.array([[1.0], [0.5]]), 0.2)
+        pred = Predictor(plant, 0.05)
+        t = np.sort(rng.uniform(0.0, 40.0, 50))
+        exp_t, z_gain = pred.integral_factors(t)
+        gamma = zoh_discretize(-plant.A, plant.B, 0.05)[1]
+        for k in range(len(t)):
+            np.testing.assert_array_equal(exp_t[k], mat_exp(plant.A, t[k]))
+            np.testing.assert_allclose(z_gain[k], mat_exp(plant.A, -t[k]) @ gamma, rtol=1e-14)
 
     def test_modes_agree_on_random_history(self, rng):
         # feed both realizations the same applied-control sequence, indexed by
@@ -248,13 +263,13 @@ class TestRegulator:
         record = np.zeros((depth + steps, 1))
         record[depth:] = rng.uniform(-1.0, 1.0, (steps, 1))
         z = np.zeros((depth + steps + 1, 2))
+        exp_t, z_gain = pred.integral_factors(np.arange(steps) * dt)
         for k in range(steps):
-            t = k * dt
             x = rng.uniform(-1.0, 1.0, 2)
             window = pred(x, record[k:depth + k])
-            zform = pred.from_integral(x, t, z[depth + k] - z[k])
+            zform = pred.exp_h @ x + exp_t[k] @ (z[depth + k] - z[k])
             np.testing.assert_allclose(zform, window, rtol=1e-9, atol=1e-12)
-            z[depth + k + 1] = z[depth + k] + pred.integral_step(t, record[depth + k])
+            z[depth + k + 1] = z[depth + k] + z_gain[k] @ record[depth + k]
 
     def test_naive_control(self):
         # plain state feedback through the discrete-matched gain, ignoring the delay

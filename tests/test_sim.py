@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delaycomp.control import (
     ZFORM_MAX_EXPONENT,
@@ -13,18 +16,18 @@ from delaycomp.control import (
 )
 from delaycomp.robot import LtiPlant, params_to_lti, RobotParams
 from delaycomp.sim import (
+    CONTROLLERS,
     Metrics,
     Scenario,
     Trajectory,
     compute_metrics,
     matched_gain,
     run,
-    step_plant,
     sweep_delay,
 )
 from delaycomp.smallmat import mat_exp, zoh_discretize
 
-from conftest import pose_oracle, step_plant_rk4
+from conftest import pose_oracle, run_oracle, step_plant_exact, step_plant_rk4
 
 ROBOT_PARAMS = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k_d=4.0)
 
@@ -45,20 +48,22 @@ def scalar_scenario(controller, a=0.0, b=1.0, k=-8.0, h=0.3, dt=0.01, T=10.0):
 
 
 class TestStepPlant:
+    """The exact ZOH step the run loop takes, x+ = Ad x + Bd u."""
+
     def test_equilibrium(self):
         plant = params_to_lti(ROBOT_PARAMS, 0.0)
         sp = make_setpoint(plant, [1.0, 0.5])
-        out = step_plant(plant, sp.x_star, sp.u_star, 0.5)
+        out = step_plant_exact(plant, sp.x_star, sp.u_star, 0.5)
         np.testing.assert_allclose(out, sp.x_star, atol=1e-14)
 
     def test_homogeneous_decay(self):
         plant = params_to_lti(ROBOT_PARAMS, 0.0)
-        out = step_plant(plant, [1.0, 1.0], [0.0, 0.0], 0.5)
+        out = step_plant_exact(plant, [1.0, 1.0], [0.0, 0.0], 0.5)
         np.testing.assert_allclose(out, [0.6065306597126334, 0.36787944117144233], rtol=1e-12)
 
     def test_pure_integrator(self):
         plant = LtiPlant(np.zeros((2, 2)), np.eye(2), 0.0)
-        out = step_plant(plant, [0.0, 0.0], [1.0, 2.0], 0.1)
+        out = step_plant_exact(plant, [0.0, 0.0], [1.0, 2.0], 0.1)
         np.testing.assert_allclose(out, [0.1, 0.2], rtol=1e-14)
 
 
@@ -179,6 +184,98 @@ class TestLongHorizon:
         assert not np.all(np.isfinite(first_nonfinite))
 
 
+def assert_matches_oracle(traj, reference):
+    """Same status, length and t_d as the reference loop; states, controls
+    and forecasts within 1e-12 of the run's scale."""
+    t, states, controls, predictions, status, t_d = reference
+    assert (traj.status, len(traj.t), traj.t_d) == (status, len(t), t_d)
+    np.testing.assert_array_equal(traj.t, t)
+    for got, want in ((traj.states, states), (traj.controls, controls),
+                      (traj.predictions, predictions)):
+        scale = 1.0 + np.max(np.abs(want), initial=0.0, where=np.isfinite(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale, equal_nan=True)
+
+
+# Slow loops approached from below (x0 = 0.1 x*), so the state's inf-norm
+# still grows, step by step, at the end of a 6 s run: a decoupled plant, and
+# a coupled one, which takes the general (non-diagonal) exponential path.
+_PLANTS = {
+    "diagonal": (np.diag([-1.0, -2.0]), np.diag([2.0, 4.0]), np.diag([-0.25, -0.25])),
+    "coupled": (np.array([[-1.0, 0.5], [0.0, -2.0]]), np.eye(2), -0.5 * np.eye(2)),
+}
+
+
+class TestReferenceLoop:
+    """sim.run against the step-at-a-time loop of conftest.run_oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        controller=st.sampled_from(CONTROLLERS),
+        plant_kind=st.sampled_from(sorted(_PLANTS)),
+        dt=st.sampled_from([0.005, 0.01, 0.02]),
+        depth=st.integers(0, 12),
+        steps=st.integers(1, 300),
+        e_max=st.sampled_from([None, 0.6, 2.0]),
+        trip=st.sampled_from([None, 0, 127, 128, 129, "last"]),
+    )
+    def test_matches_reference_loop(self, controller, plant_kind, dt, depth, steps, e_max, trip):
+        A, B, K = _PLANTS[plant_kind]
+        plant = LtiPlant(A, B, depth * dt)
+        setpoint = make_setpoint(plant, [1.0, 0.5])
+        sc = Scenario(plant=plant, gain=Gain.for_plant(K, plant), setpoint=setpoint,
+                      controller=controller, x0=np.array([0.1, 0.05]), dt=dt, T=steps * dt,
+                      e_max=e_max)
+        if trip is not None:
+            # a threshold between the norms of rows j - 1 and j, which a
+            # growing run first exceeds at row j; runs may differ in the last
+            # bits, so no row's norm may lie within 1e-9 of it
+            j = steps if trip == "last" else min(trip, steps)
+            norms = np.max(np.abs(run_oracle(sc)[1]), axis=1)
+            limit = norms[0] / 2.0 if j == 0 else (norms[j - 1] + norms[j]) / 2.0
+            assume(np.all(np.abs(norms - limit) > 1e-9 * limit))
+            sc = replace(sc, divergence_threshold=limit)
+        traj, _ = run(sc)
+        assert_matches_oracle(traj, run_oracle(sc))
+        if trip is not None:
+            assert (traj.status, len(traj.t)) == ("diverged", j + 1)
+
+    def test_nonfinite_state(self):
+        # naive feedback on the unstable plant of
+        # TestLongHorizon.test_nonfinite_state_ends_as_diverged; its forecast
+        # forms are left out, as they cancel terms near e^{50} and so amplify
+        # last-bit differences far beyond 1e-12
+        plant = LtiPlant(np.array([[50.0]]), np.array([[1.0]]), 1.0)
+        sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-51.0]]), plant),
+                      setpoint=origin_setpoint(plant), controller="naive", x0=np.array([1.0]),
+                      dt=0.01, T=30.0, divergence_threshold=math.inf)
+        traj, _ = run(sc)
+        assert traj.status == "diverged"
+        assert_matches_oracle(traj, run_oracle(sc))
+
+
+class TestForecastControl:
+    """Every recorded control of a window-form run is the clipped feedback
+    of the recorded forecast."""
+
+    @pytest.mark.parametrize("e_max,threshold,status", [
+        (None, 1e6, "completed"),
+        (0.6, 1e6, "completed"),
+        (None, 0.9, "diverged"),
+        (0.6, 0.7, "diverged"),
+    ])
+    def test_control_is_feedback_of_forecast(self, e_max, threshold, status):
+        sc = replace(robot_scenario("predictor-window", T=5.0), e_max=e_max,
+                     divergence_threshold=threshold)
+        traj, _ = run(sc)
+        assert traj.status == status
+        sp = sc.setpoint
+        u = sp.u_star + (traj.predictions - sp.x_star) @ matched_gain(sc.plant, sc.gain.K, sc.dt).T
+        if e_max is not None:
+            u = np.clip(u, -e_max, e_max)
+            assert np.any(np.abs(traj.controls) == e_max)
+        assert np.all(np.abs(traj.controls - u) <= 1e-12 * (1.0 + np.abs(u)))
+
+
 class TestPoses:
     @pytest.mark.parametrize("controller,h,T,x0,status", [
         ("predictor-window", 0.3, 10.0, (0.0, 0.0), "completed"),
@@ -209,7 +306,7 @@ class TestOrderCheck:
             x_rk4 = x0.copy()
             worst = 0.0
             for u in holds:
-                x_exact = step_plant(plant, x_exact, u, dt)
+                x_exact = step_plant_exact(plant, x_exact, u, dt)
                 for _ in range(substeps):
                     x_rk4 = step_plant_rk4(plant, x_rk4, u, dt / substeps)
                 worst = max(worst, float(np.max(np.abs(x_rk4 - x_exact))))
