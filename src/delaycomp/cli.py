@@ -355,9 +355,18 @@ def main(argv=None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError:
+        # a run holds N + steps rows: name whichever of the two is larger
         steps = round(config.horizon / config.dt)
-        print(f"usage error: config keys 'horizon'/'dt': {steps:.3g} steps do not fit in memory; "
-              "shorten horizon or raise dt", file=sys.stderr)
+        sweep = args.command == "sweep"
+        depth = round((args.h_max if sweep else config.delay) / config.dt)
+        if depth <= steps:
+            where, fix = "config keys 'horizon'/'dt'", "shorten horizon"
+        elif sweep:
+            where, fix = "option --h-max", "lower --h-max"
+        else:
+            where, fix = "config key 'delay'", "shorten delay"
+        print(f"usage error: {where}: {max(depth, steps):.3g} steps do not fit in memory; "
+              f"{fix} or raise dt", file=sys.stderr)
         return EXIT_USAGE
 
 

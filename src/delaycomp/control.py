@@ -13,9 +13,10 @@ delay, so the instability of approximated distributed-delay laws does not
 apply. :class:`Predictor` precomputes Ad^N and G = [Ad^{N-1} Bd ... Bd] once
 per (plant, dt) and offers two realizations of the same forecast:
 
-- window form (default): Ad^N x + G w, where w is the contiguous window of
-  the last N rows of the run's step-indexed control record; every
-  exponential argument is bounded by h;
+- window form (default): Ad^N x + G w, where w holds the last N applied
+  controls, oldest first; every exponential argument is bounded by h. The
+  simulation never forms w on its own: it applies the forecast, folded into
+  its control map, to its record of states and held inputs;
 - z form: the literal dynamic-regulator realization through the auxiliary
   running integral z(t) = integral_0^t e^{-A theta} B u(theta) dtheta, with
   xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] and z identically zero on
@@ -29,8 +30,7 @@ N, and rejects a delay that is not an integer multiple of dt.
 
 Nonzero setpoints are handled by an affine shift: with u* = -B^{-1} A x*, the
 shifted pair (x - x*, u - u*) satisfies the origin-stabilization problem, so
-the control record starts with N rows of u* and the feedback acts on
-deviations.
+the inputs held over [-h, 0) are u* and the feedback acts on deviations.
 """
 
 from __future__ import annotations
@@ -179,17 +179,6 @@ class Predictor:
         """Window form: forecast from state ``x`` and the C-contiguous
         ``(N, m)`` window of held inputs, oldest first."""
         return self.exp_h @ x + self.G @ window.ravel()
-
-    def forecasts(self, states: np.ndarray, history: np.ndarray) -> np.ndarray:
-        """Window-form forecasts along a run: row k is
-        ``self(states[k], history[k:k + N])`` for the ``(R, n)`` states and
-        a control record of at least R + N - 1 rows, summed one block of G
-        at a time, so no ``(R, N m)`` window copy is built."""
-        rows, m = len(states), history.shape[1]
-        out = states @ self.exp_h.T
-        for i in range(self.depth):
-            out += history[i:i + rows] @ self.G[:, i * m:(i + 1) * m].T
-        return out
 
     def integral_factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """z-form factors at the sample times ``t``, one batched exponential

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .control import ZFORM_MAX_EXPONENT, Gain, Predictor, Setpoint, delay_steps
 from .robot import LtiPlant, pose_path
@@ -30,6 +31,9 @@ CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
 
 # Steps between two divergence scans of the recorded states.
 _SCAN_BLOCK = 128
+# Bytes of record windows that one product of the forecast fill copies; kept
+# small, as the copy and BLAS's packing of it add to a run's peak memory.
+_FILL_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,12 +88,13 @@ class Trajectory:
     """Uniformly sampled closed-loop record.
 
     ``predictions[k]`` is the forecast of the state at t_k + h issued at t_k
-    (NaN rows for non-predictor controllers). ``controls`` is the tail of the
-    run's step-indexed control record. ``poses[k]`` is the planar pose after
-    steps 0..k-1, integrated from the recorded states of a two-state
-    (v, omega) plant by :func:`~delaycomp.robot.pose_path` once the run has
-    ended; zeros for other plants. ``t_d`` is the time of the state that
-    ended a diverged run.
+    (NaN rows for non-predictor controllers). ``controls[k]`` is the control
+    issued at t_k, which the plant receives at t_k + h (at once for nodelay).
+    ``poses[k]`` is the planar pose after steps 0..k-1, integrated from the
+    recorded states of a two-state (v, omega) plant by
+    :func:`~delaycomp.robot.pose_path` once the run has ended; zeros for
+    other plants. ``t_d`` is the time of the state that ended a diverged run.
+    ``states`` and ``controls`` are strided views of the run's record.
     """
 
     t: np.ndarray
@@ -135,43 +140,63 @@ def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float) -> np.ndarray:
 def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     """Simulate one scenario; returns the trajectory and its metrics.
 
-    The delay line is the control record ``history``, indexed by step: rows
-    0..N-1 hold u* over [-h, 0) and row N + k holds the control issued at t_k,
-    so no clock can drift. Setpoint and gain fold into one affine control map
-    per scenario, u = c + F x (+ H w) with c = u* - Kd x*: the window form
-    uses F = Kd e^{Ah} and H = Kd G on the window w = history[k:N+k]; naive
-    and nodelay feedback use F = Kd; the z form computes its forecast in the
-    loop from the running integral z (a step-indexed array of the same kind,
-    its exponentials taken per block in one batched call) and feeds it back
-    through F = Kd. The plant consumes row N + k - lag (lag = N, or 0 for
-    nodelay) in one exact ZOH step, written into the next state row.
+    The run lives in one record indexed by step, so no clock can drift. Row r
+    holds (x_r, 1, v_r): the state, a constant 1 and the input held over step
+    r, v_r = u_{r-lag} (lag = N, or 0 for nodelay; u* for r < lag). The
+    setpoint and gain fold into one affine control map per scenario, with
+    c = u* - Kd x* on the constant slot, and a step is two in-place
+    matrix-vector products on contiguous slices of the flat record:
+
+    1. control: the map, applied to the record from row k on, writes u_k
+       into row k + lag's input slot. The window form's map is Kd times the
+       forecast over rows k..k+N-1, which is zero on the state slots of rows
+       not yet reached (they hold zeros); naive and nodelay feedback apply
+       [Kd c] to (x_k, 1). The z form computes its forecast in the loop from
+       the running integral z, its exponentials taken per block in one
+       batched call, and feeds it back through Kd.
+    2. plant: the exact ZOH step [Ad 0 Bd] maps row k to row k + 1's state.
+
+    The products stay separate: one over a wider slice would multiply zero
+    coefficients by past controls, and 0 * inf = NaN once a control has
+    overflowed.
 
     Divergence is scanned once per ``_SCAN_BLOCK`` steps, and the run is cut
     where a per-step test would cut it: at the first state whose inf-norm
     exceeds the threshold or is not finite, as diverged at that state's time;
-    a non-finite state is not recorded. The window form's forecasts and the
-    poses are derived from the recorded arrays after the loop.
+    a non-finite state is not recorded. After the loop, the window form's
+    forecasts are the same forecast map applied to the recorded rows, and the
+    poses are integrated from the recorded states.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
     steps = round(scenario.T / dt)
     pred = Predictor(plant, dt)
-    N, Ad, Bd, exp_h = pred.depth, pred.Ad, pred.Bd, pred.exp_h
+    N, exp_h = pred.depth, pred.exp_h
     lag = 0 if controller == "nodelay" else N
     window, zform = controller == "predictor-window", controller == "predictor-zform"
     Kd = matched_gain(plant, scenario.gain.K, dt)
     x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
     c = u_star - Kd @ x_star
-    F, H = (Kd @ exp_h, Kd @ pred.G) if window else (Kd, None)
     # capped so that a threshold of inf still stops on an infinite state
     limit = min(scenario.divergence_threshold, np.finfo(float).max)
 
-    history = np.empty((N + steps + 1, m))
-    history[:N] = u_star
-    flat = history.reshape(-1)  # window k is flat[k m:(N + k) m]
-    # row steps + 1 takes the step after the last sample and is not recorded
-    states = np.empty((steps + 2, n))
-    states[0] = scenario.x0
+    d = n + 1 + m
+    # the last control goes to row steps + lag; the plant step after the last
+    # sample writes row steps + 1, which is not recorded
+    rec = np.zeros((steps + 1 + max(lag, 1), d))
+    rec[:, n] = 1.0
+    rec[:lag, n + 1:] = u_star
+    rec[0, :n] = scenario.x0
+    flat = rec.reshape(-1)
+    plant_map = np.hstack([pred.Ad, np.zeros((n, 1)), pred.Bd])
+    if window:
+        forecast = _forecast_map(pred, d)
+        control_map = Kd @ forecast
+    else:
+        control_map = np.hstack([Kd, np.zeros((m, 1))])
+    control_map[:, n] = c
+    w = control_map.shape[1]
+    u_at = lag * d + n + 1  # offset of u_k's slot from row k
     t_arr = np.arange(steps + 1) * dt
     if zform:
         z = np.zeros((N + steps + 2, n))
@@ -186,31 +211,33 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
             if zform:
                 exp_t, z_gain = pred.integral_factors(t_arr[k0:k1])
             for k in range(k0, k1):
-                x = states[k]
-                if window:
-                    u = c + F.dot(x) + H.dot(flat[k * m:(N + k) * m])
-                elif zform:
+                row = k * d
+                u = flat[row + u_at:row + u_at + m]
+                if zform:
                     j, z_now = k - k0, z[N + k]
-                    xhat = exp_h.dot(x) + offset + exp_t[j].dot(z_now - z[k])
+                    xhat = exp_h.dot(flat[row:row + n]) + offset + exp_t[j].dot(z_now - z[k])
                     predictions[k] = xhat
-                    u = c + F.dot(xhat)
+                    np.add(c, Kd.dot(xhat), out=u)
                 else:
-                    u = c + F.dot(x)
+                    control_map.dot(flat[row:row + w], out=u)
                 if e_max is not None:
-                    u = u.clip(-e_max, e_max)
-                history[N + k] = u
+                    u.clip(-e_max, e_max, out=u)
                 if zform:
                     z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
-                states[k + 1] = Ad.dot(x) + Bd.dot(history[N + k - lag])
-            ok = np.abs(states[k0:k1]).max(axis=1) <= limit
+                plant_map.dot(flat[row:row + d], out=flat[row + d:row + d + n])
+            ok = np.abs(rec[k0:k1, :n]).max(axis=1) <= limit
             if not ok.all():
                 k = k0 + int(np.argmin(ok))
                 status, t_d = "diverged", k * dt
-                recorded = k + 1 if np.all(np.isfinite(states[k])) else k
+                recorded = k + 1 if np.all(np.isfinite(rec[k, :n])) else k
                 break
-        states = states[:recorded]
+        states = rec[:recorded, :n]
+        controls = rec[lag:lag + recorded, n + 1:]
         if window:
-            predictions = pred.forecasts(states, history)
+            # the forecast map is zero on state slots past row k, but 0 * inf
+            # is NaN: clear the rows the run did not record
+            rec[recorded:, :n] = 0.0
+            predictions = _forecasts(forecast, flat, d, recorded)
         elif zform:
             predictions = predictions[:recorded]
         else:
@@ -221,7 +248,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     traj = Trajectory(
         t=t_arr[:recorded],
         states=states,
-        controls=history[N:N + recorded],
+        controls=controls,
         predictions=predictions,
         poses=poses,
         status=status,
@@ -231,6 +258,31 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
         controller=scenario.controller,
     )
     return traj, compute_metrics(traj, sp, scenario.x0)
+
+
+def _forecast_map(pred: Predictor, d: int) -> np.ndarray:
+    """The window-form forecast as one map over the flat record rows
+    k..k+N-1 of width d: e^{Ah} on row k's state slot, G's blocks on the
+    input slots, zeros elsewhere; over (x_k, 1) alone when N = 0."""
+    (n, m), N = pred.Bd.shape, pred.depth
+    out = np.zeros((n, max(N * d, n + 1)))
+    if N:
+        out.reshape(n, N, d)[:, :, n + 1:] = pred.G.reshape(n, N, m)
+    out[:, :n] = pred.exp_h
+    return out
+
+
+def _forecasts(forecast: np.ndarray, flat: np.ndarray, d: int, rows: int) -> np.ndarray:
+    """Row k is ``forecast`` applied to flat[k d:k d + width], for k < rows,
+    a chunk of windows at a time so that the copy BLAS needs stays small."""
+    width = forecast.shape[1]
+    windows = sliding_window_view(flat, width)[::d]
+    out = np.empty((rows, forecast.shape[0]))
+    chunk = max(1, _FILL_BYTES // (8 * width))
+    for r0 in range(0, rows, chunk):
+        r1 = min(r0 + chunk, rows)
+        np.dot(windows[r0:r1], forecast.T, out=out[r0:r1])
+    return out
 
 
 def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:

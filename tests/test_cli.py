@@ -206,6 +206,16 @@ class TestRunCommand:
         assert len(err.splitlines()) == 1
         assert "'horizon'/'dt'" in err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_delay_too_large_for_memory(self, tmp_path, capsys, command):
+        # N = 1e14 rows of delay: numpy refuses the allocation at once
+        cfg = write_config(tmp_path, text=MINIMAL.replace("delay = 0.3", "delay = 1e12"))
+        code = cli.main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "'delay'" in err and "horizon" not in err
+
     def test_controller_override(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 1\n")
         out = tmp_path / "out"
@@ -257,6 +267,16 @@ class TestSweepCommand:
                          "--steps", "3"]) == EXIT_USAGE
         assert cli.main(["sweep", "--config", str(cfg), "--h-min", "0", "--h-max", "0.1",
                          "--steps", "0"]) == EXIT_USAGE
+
+    def test_delay_too_large_for_memory(self, tmp_path, capsys):
+        # the grid's last point is N = 1e14 rows of delay
+        cfg = write_config(tmp_path)
+        code = cli.main(["sweep", "--config", str(cfg), "--h-min", "0", "--h-max", "1e12",
+                         "--steps", "2", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "--h-max" in err and "horizon" not in err
 
     def test_grid_rounded_and_deduplicated(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 2\n")

@@ -133,6 +133,15 @@ class TestPose:
         assert path.shape == (1001, 3)
         np.testing.assert_allclose(path, expected, rtol=0, atol=1e-12)
 
+    def test_steady_turn_heading_does_not_drift(self):
+        # 20000 steps of one turn rate: a heading summed without wrapping
+        # drifts by rounding as the sum grows past 1000 rad
+        velocities = np.column_stack([np.ones(20001), np.full(20001, 7.3)])
+        heading = pose_path(velocities, 0.01)[:, 2]
+        expected = pose_oracle(velocities, 0.01)[:, 2]
+        gap = (heading - expected + math.pi) % (2.0 * math.pi) - math.pi
+        assert np.max(np.abs(gap)) <= 1e-9
+
 
 class TestWrapAngle:
     @pytest.mark.parametrize("a,expected", [

@@ -253,27 +253,79 @@ class TestReferenceLoop:
         assert_matches_oracle(traj, run_oracle(sc))
 
 
-class TestForecastControl:
-    """Every recorded control of a window-form run is the clipped feedback
-    of the recorded forecast."""
+# Completed, saturated, diverged and saturated-and-diverged robot runs: the
+# state climbs from the origin to x* = (1, 0.5), so it crosses either
+# threshold below 1.
+_RUN_ENDS = [
+    (None, 1e6, "completed"),
+    (0.6, 1e6, "completed"),
+    (None, 0.9, "diverged"),
+    (0.6, 0.7, "diverged"),
+]
 
-    @pytest.mark.parametrize("e_max,threshold,status", [
-        (None, 1e6, "completed"),
-        (0.6, 1e6, "completed"),
-        (None, 0.9, "diverged"),
-        (0.6, 0.7, "diverged"),
-    ])
-    def test_control_is_feedback_of_forecast(self, e_max, threshold, status):
-        sc = replace(robot_scenario("predictor-window", T=5.0), e_max=e_max,
+
+class TestForecastControl:
+    """Every recorded row of a run is the exact plant step from the row
+    before under the input held over that step, and every recorded control
+    is the clipped feedback of the recorded forecast (of the state, for
+    naive and nodelay)."""
+
+    @staticmethod
+    def _run(controller, e_max, threshold, status):
+        sc = replace(robot_scenario(controller, T=5.0), e_max=e_max,
                      divergence_threshold=threshold)
         traj, _ = run(sc)
         assert traj.status == status
-        sp = sc.setpoint
-        u = sp.u_star + (traj.predictions - sp.x_star) @ matched_gain(sc.plant, sc.gain.K, sc.dt).T
+        return sc, traj
+
+    @staticmethod
+    def _assert_feedback_of(sc, traj, fed):
+        sp, e_max = sc.setpoint, sc.e_max
+        u = sp.u_star + (fed - sp.x_star) @ matched_gain(sc.plant, sc.gain.K, sc.dt).T
         if e_max is not None:
             u = np.clip(u, -e_max, e_max)
             assert np.any(np.abs(traj.controls) == e_max)
         assert np.all(np.abs(traj.controls - u) <= 1e-12 * (1.0 + np.abs(u)))
+
+    @pytest.mark.parametrize("e_max,threshold,status", _RUN_ENDS)
+    def test_control_is_feedback_of_forecast(self, e_max, threshold, status):
+        sc, traj = self._run("predictor-window", e_max, threshold, status)
+        self._assert_feedback_of(sc, traj, traj.predictions)
+
+    def test_forecasts_beside_a_nonfinite_state(self):
+        # saturated feedback cannot hold the unstable plant of
+        # TestLongHorizon.test_nonfinite_state_ends_as_diverged, so the state
+        # overflows; the windows of the last N recorded forecasts reach the
+        # row of the first non-finite state, which they must not read
+        plant = LtiPlant(np.array([[50.0]]), np.array([[1.0]]), 1.0)
+        sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-51.0]]), plant),
+                      setpoint=origin_setpoint(plant), controller="predictor-window",
+                      x0=np.array([1.0]), dt=0.01, T=30.0, divergence_threshold=math.inf,
+                      e_max=1.0)
+        traj, _ = run(sc)
+        assert traj.status == "diverged"
+        assert not np.any(np.isnan(traj.predictions))
+        with np.errstate(over="ignore"):
+            u = np.clip(traj.predictions @ matched_gain(plant, sc.gain.K, sc.dt).T, -1.0, 1.0)
+        np.testing.assert_array_equal(traj.controls, u)
+
+    @pytest.mark.parametrize("controller", ["naive", "nodelay"])
+    @pytest.mark.parametrize("e_max,threshold,status", _RUN_ENDS)
+    def test_control_is_feedback_of_state(self, controller, e_max, threshold, status):
+        sc, traj = self._run(controller, e_max, threshold, status)
+        self._assert_feedback_of(sc, traj, traj.states)
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    @pytest.mark.parametrize("e_max,threshold,status", _RUN_ENDS)
+    def test_state_is_step_under_held_input(self, controller, e_max, threshold, status):
+        # the input held over step k is the control issued lag steps before
+        # (u* before the first one), lag = N or 0 for nodelay
+        sc, traj = self._run(controller, e_max, threshold, status)
+        lag = 0 if controller == "nodelay" else round(sc.plant.h / sc.dt)
+        held = np.vstack([np.tile(sc.setpoint.u_star, (lag, 1)), traj.controls])
+        ad, bd = zoh_discretize(sc.plant.A, sc.plant.B, sc.dt)
+        expected = traj.states[:-1] @ ad.T + held[:len(traj.t) - 1] @ bd.T
+        assert np.all(np.abs(traj.states[1:] - expected) <= 1e-12 * (1.0 + np.abs(expected)))
 
 
 class TestPoses:
