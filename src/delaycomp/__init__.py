@@ -22,6 +22,7 @@ from .robot import (
 from .sim import (
     CONTROLLERS,
     Metrics,
+    Sampling,
     Scenario,
     Trajectory,
     compute_metrics,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import delay_steps, design_gain, make_setpoint
 from .robot import RobotParams, params_to_lti
-from .sim import CONTROLLERS, Metrics, Scenario, Trajectory, run, sweep_delay
+from .sim import CONTROLLERS, Metrics, Sampling, Scenario, Trajectory, run, sweep_delay
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -189,7 +189,7 @@ def build_scenario(config: Config, controller: str | None = None) -> Scenario:
         )
     except ValueError as exc:
         # parse_config has validated every other field, so what is left is
-        # the z form's bound on the horizon
+        # the horizon: the z form's bound on it, or too many steps of dt
         raise ConfigError("horizon", str(exc)) from None
 
 
@@ -239,10 +239,12 @@ def cmd_compare(config: Config) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for controller in ("naive", "predictor-window"):
-        traj, metrics = run(build_scenario(config, controller=controller))
-        write_trajectory_csv(out / f"{controller}.csv", traj)
-        rows.append((controller, metrics))
+    scenarios = [build_scenario(config, controller=c) for c in ("naive", "predictor-window")]
+    sampling = Sampling(scenarios[0])
+    for scenario in scenarios:
+        traj, metrics = run(scenario, sampling)
+        write_trajectory_csv(out / f"{scenario.controller}.csv", traj)
+        rows.append((scenario.controller, metrics))
 
     header = f"{'controller':<18}{'settled':<9}{'settling_time':<15}{'max_excursion':<15}{'max_pred_error':<16}{'diverged':<9}"
     lines = [header, "-" * len(header)]
@@ -265,12 +267,12 @@ def cmd_sweep(config: Config, h_min: float, h_max: float, steps: int) -> int:
     """Sweep the delay over a grid and tabulate naive vs. predictor metrics."""
     if steps < 1 or h_max < h_min or h_min < 0:
         raise _UsageError(f"invalid sweep range: h_min={h_min}, h_max={h_max}, steps={steps}")
+    base = build_scenario(config, controller="naive")
+    if not math.isfinite(h_max / config.dt):
+        raise _UsageError(f"--h-max {h_max:g} is not a finite number of dt={config.dt:g} steps")
     # grid points rounded to whole steps, deduplicated in order
     depths = dict.fromkeys(round(h / config.dt) for h in np.linspace(h_min, h_max, steps))
-    h_values = [depth * config.dt for depth in depths]
-
-    base = build_scenario(config, controller="naive")
-    results = sweep_delay(base, h_values)
+    results = sweep_delay(base, [depth * config.dt for depth in depths])
 
     lines = [SWEEP_HEADER]
     for h, m_naive, m_pred in results:

@@ -10,8 +10,8 @@ which under zero-order-hold inputs collapses to the finite sum
 xhat(t+h) = Ad^N x + sum_i Ad^{N-1-i} Bd u_i over the last N = h/dt applied
 controls. The sum is the exact forecast, not a quadrature of the distributed
 delay, so the instability of approximated distributed-delay laws does not
-apply. :class:`Predictor` precomputes Ad^N and G = [Ad^{N-1} Bd ... Bd] once
-per (plant, dt) and offers two realizations of the same forecast:
+apply. :class:`Predictor` precomputes Ad^N and G = [Ad^{N-1} Bd ... Bd], G by
+doubling, once per (plant, dt) and offers two realizations of the same forecast:
 
 - window form (default): Ad^N x + G w, where w holds the last N applied
   controls, oldest first; every exponential argument is bounded by h. The
@@ -146,9 +146,12 @@ def origin_setpoint(plant: LtiPlant) -> Setpoint:
 
 
 def delay_steps(h: float, dt: float) -> int:
-    """Delay depth N = h/dt; raises ValueError unless h is an integer
-    multiple of dt (to 1e-9 s)."""
-    n = round(h / dt)
+    """Delay depth N = h/dt; raises ValueError unless h/dt is finite and h
+    is an integer multiple of dt (to 1e-9 s)."""
+    ratio = h / dt
+    if not np.isfinite(ratio):
+        raise ValueError(f"delay h={h:g} is not a finite number of dt={dt:g} steps")
+    n = round(ratio)
     if abs(n * dt - h) > 1e-9:
         raise ValueError(f"delay h={h:g} is not an integer multiple of dt={dt:g}")
     return n
@@ -157,23 +160,27 @@ def delay_steps(h: float, dt: float) -> int:
 class Predictor:
     """Exact h-second-ahead state forecast for one plant and sample period.
 
-    ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step discretization,
+    ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step discretization
+    (``step``, when the caller has it already),
     ``exp_h`` = Ad^N = e^{Ah} and ``G`` = [Ad^{N-1} Bd ... Ad Bd  Bd], so a
     forecast costs two matrix-vector products. The forecast is linear in
     (x, u), so it applies unchanged to deviations from an equilibrium.
     """
 
-    def __init__(self, plant: LtiPlant, dt: float):
-        n, m = plant.n, plant.m_in
-        self.depth = delay_steps(plant.h, dt)
+    def __init__(self, plant: LtiPlant, dt: float, step=None):
+        self.depth = N = delay_steps(plant.h, dt)
         self.A, self.B, self.dt = plant.A, plant.B, dt
-        self.Ad, self.Bd = zoh_discretize(plant.A, plant.B, dt)
+        self.Ad, self.Bd = step or zoh_discretize(plant.A, plant.B, dt)
         self.exp_h = mat_exp(plant.A, plant.h)
-        self.G = np.empty((n, self.depth * m))
-        block = self.Bd
-        for i in reversed(range(self.depth)):
-            self.G[:, i * m:(i + 1) * m] = block
-            block = self.Ad @ block
+        # the blocks Ad^j Bd, j < N, by doubling: with the first p known, one
+        # batched product by Ad^p gives the next p
+        blocks = np.empty((N,) + self.Bd.shape)
+        blocks[:1] = self.Bd
+        power, p = self.Ad, 1
+        while p < N:
+            np.matmul(power, blocks[:min(p, N - p)], out=blocks[p:2 * p])
+            power, p = power @ power, 2 * p
+        self.G = blocks[::-1].transpose(1, 0, 2).reshape(plant.n, N * plant.m_in)
 
     def __call__(self, x: np.ndarray, window: np.ndarray) -> np.ndarray:
         """Window form: forecast from state ``x`` and the C-contiguous

@@ -6,13 +6,10 @@ O(dt^k) approximation: with exact prediction, the control applied at t - h
 equals the undelayed feedback evaluated at x(t), and the t >= h trajectory is
 the undelayed closed-loop trajectory shifted by h.
 
-To make the sampled loop agree with the continuous-time design at sample
-instants, the loop applies the discrete-matched gain
-Kd = Bd^{-1} (e^{(A + B K) dt} - Ad): then Ad + Bd Kd = e^{(A + B K) dt}
-exactly, i.e. holding u = u* + Kd (x_k - x*) over one sample reproduces the
-continuous closed loop dx/dt = (A + B K)(x - x*) at every sample time. For
-small dt, Kd -> K. Plants whose Bd is not square-invertible fall back to the
-raw design gain.
+The loop applies the discrete-matched gain Kd of :func:`matched_gain`:
+Ad + Bd Kd = e^{(A + B K) dt}, so holding u = u* + Kd (x_k - x*) over one
+sample reproduces the continuous closed loop dx/dt = (A + B K)(x - x*) at
+every sample time. For small dt, Kd -> K.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .control import ZFORM_MAX_EXPONENT, Gain, Predictor, Setpoint, delay_steps
 from .robot import LtiPlant, pose_path
@@ -58,8 +55,8 @@ class Scenario:
             raise ValueError(f"unknown controller {self.controller!r}; choose from {CONTROLLERS}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.dt <= self.T < math.inf:
-            raise ValueError(f"horizon T must be finite and >= dt, got T={self.T}, dt={self.dt}")
+        if not (self.T >= self.dt and math.isfinite(self.T / self.dt)):
+            raise ValueError(f"horizon T={self.T:g} must be >= dt and a finite number of dt={self.dt:g} steps")
         if not self.divergence_threshold > 0:
             raise ValueError("divergence_threshold must be > 0")
         if self.e_max is not None and not self.e_max > 0:
@@ -120,14 +117,15 @@ class Metrics:
     diverged: bool
 
 
-def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float) -> np.ndarray:
+def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float, step=None) -> np.ndarray:
     """Discrete-matched feedback gain for the sampling period ``dt``.
 
-    Solves Bd Kd = e^{(A + B K) dt} - Ad so the sampled loop reproduces the
-    continuous closed loop exactly at sample instants. Returns K unchanged
-    when Bd is not square or is singular.
+    Solves Bd Kd = e^{(A + B K) dt} - Ad, with the plant's (Ad, Bd) at dt
+    from ``step`` when given, so the sampled loop reproduces the continuous
+    closed loop exactly at sample instants. Returns K unchanged when Bd is
+    not square or is singular.
     """
-    Ad, Bd = zoh_discretize(plant.A, plant.B, dt)
+    Ad, Bd = step or zoh_discretize(plant.A, plant.B, dt)
     if Bd.shape[0] != Bd.shape[1]:
         return np.asarray(K, dtype=float)
     target = mat_exp(plant.A + plant.B @ K, dt) - Ad
@@ -137,44 +135,53 @@ def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float) -> np.ndarray:
         return np.asarray(K, dtype=float)
 
 
-def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
+class Sampling:
+    """A run's set-up that its delay and controller do not change: the exact
+    ZOH step (Ad, Bd) and matched gain Kd of the scenario's plant, gain and
+    dt, from one discretization. Runs that share those three may share it."""
+
+    def __init__(self, scenario: Scenario):
+        plant, dt = scenario.plant, scenario.dt
+        self.Ad, self.Bd = zoh_discretize(plant.A, plant.B, dt)
+        self.Kd = matched_gain(plant, scenario.gain.K, dt, (self.Ad, self.Bd))
+
+
+def run(scenario: Scenario, sampling: Sampling | None = None) -> tuple[Trajectory, Metrics]:
     """Simulate one scenario; returns the trajectory and its metrics.
+
+    ``sampling``, the scenario's :class:`Sampling`, is built when not given.
 
     The run lives in one record indexed by step, so no clock can drift. Row r
     holds (x_r, 1, v_r): the state, a constant 1 and the input held over step
-    r, v_r = u_{r-lag} (lag = N, or 0 for nodelay; u* for r < lag). The
-    setpoint and gain fold into one affine control map per scenario, with
-    c = u* - Kd x* on the constant slot, and a step is two in-place
-    matrix-vector products on contiguous slices of the flat record:
+    r, v_r = u_{r-lag} (lag = N, or 0 for nodelay; u* for r < lag). Over row
+    views of the record taken before the loop, a step is two in-place
+    matrix-vector products:
 
-    1. control: the map, applied to the record from row k on, writes u_k
-       into row k + lag's input slot. The window form's map is Kd times the
-       forecast over rows k..k+N-1, which is zero on the state slots of rows
-       not yet reached (they hold zeros); naive and nodelay feedback apply
-       [Kd c] to (x_k, 1). The z form computes its forecast in the loop from
-       the running integral z, its exponentials taken per block in one
-       batched call, and feeds it back through Kd.
+    1. control: one affine map (setpoint and gain folded in, c = u* - Kd x*
+       on the constant slot) writes u_k into row k + lag's input slot. The
+       window form's map is Kd times the forecast over rows k..k+N-1, zero on
+       the state slots of rows not yet reached; naive and nodelay apply
+       [Kd c] to (x_k, 1). The z form computes its forecast from the running
+       integral z, its exponentials taken per block in one batched call.
     2. plant: the exact ZOH step [Ad 0 Bd] maps row k to row k + 1's state.
 
     The products stay separate: one over a wider slice would multiply zero
     coefficients by past controls, and 0 * inf = NaN once a control has
-    overflowed.
-
-    Divergence is scanned once per ``_SCAN_BLOCK`` steps, and the run is cut
-    where a per-step test would cut it: at the first state whose inf-norm
-    exceeds the threshold or is not finite, as diverged at that state's time;
-    a non-finite state is not recorded. After the loop, the window form's
-    forecasts are the same forecast map applied to the recorded rows, and the
-    poses are integrated from the recorded states.
+    overflowed. Divergence is scanned once per ``_SCAN_BLOCK`` steps, and the
+    run is cut where a per-step test would cut it: at the first state whose
+    inf-norm exceeds the threshold or is not finite, as diverged at that
+    state's time; a non-finite state is not recorded. After the loop, the
+    window form's forecasts are the forecast map applied to the recorded
+    rows, and the poses are integrated from the recorded states.
     """
+    sampling = sampling or Sampling(scenario)
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
     steps = round(scenario.T / dt)
-    pred = Predictor(plant, dt)
-    N, exp_h = pred.depth, pred.exp_h
+    pred = Predictor(plant, dt, (sampling.Ad, sampling.Bd))
+    N, Kd = pred.depth, sampling.Kd
     lag = 0 if controller == "nodelay" else N
     window, zform = controller == "predictor-window", controller == "predictor-zform"
-    Kd = matched_gain(plant, scenario.gain.K, dt)
     x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
     c = u_star - Kd @ x_star
     # capped so that a threshold of inf still stops on an infinite state
@@ -187,18 +194,22 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     rec[:, n] = 1.0
     rec[:lag, n + 1:] = u_star
     rec[0, :n] = scenario.x0
-    flat = rec.reshape(-1)
-    plant_map = np.hstack([pred.Ad, np.zeros((n, 1)), pred.Bd])
+    plant_map = np.hstack([sampling.Ad, np.zeros((n, 1)), sampling.Bd])
     if window:
         forecast = _forecast_map(pred, d)
         control_map = Kd @ forecast
     else:
         control_map = np.hstack([Kd, np.zeros((m, 1))])
     control_map[:, n] = c
-    w = control_map.shape[1]
-    u_at = lag * d + n + 1  # offset of u_k's slot from row k
+    # the loop walks four row views in step; row k of each is the control
+    # map's input (the record's next w values from row k on, at most N rows,
+    # so within the record), u_k's slot, row k itself and x_{k+1}'s slots
+    ctl_in = as_strided(rec, (steps + 1, control_map.shape[1]), rec.strides, writeable=False)
+    u_out, x_out = rec[lag:, n + 1:], rec[1:, :n]
+    cdot, pdot = control_map.dot, plant_map.dot
     t_arr = np.arange(steps + 1) * dt
     if zform:
+        exp_h = pred.exp_h
         z = np.zeros((N + steps + 2, n))
         predictions = np.empty((steps + 1, n))
         offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{At} dz
@@ -210,34 +221,32 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
             k1 = min(k0 + _SCAN_BLOCK, steps + 1)
             if zform:
                 exp_t, z_gain = pred.integral_factors(t_arr[k0:k1])
-            for k in range(k0, k1):
-                row = k * d
-                u = flat[row + u_at:row + u_at + m]
+            rows = zip(range(k0, k1), ctl_in[k0:k1], u_out[k0:k1], rec[k0:k1], x_out[k0:k1])
+            for k, win, u, row, x_next in rows:
                 if zform:
                     j, z_now = k - k0, z[N + k]
-                    xhat = exp_h.dot(flat[row:row + n]) + offset + exp_t[j].dot(z_now - z[k])
+                    xhat = exp_h.dot(row[:n]) + offset + exp_t[j].dot(z_now - z[k])
                     predictions[k] = xhat
                     np.add(c, Kd.dot(xhat), out=u)
                 else:
-                    control_map.dot(flat[row:row + w], out=u)
+                    cdot(win, out=u)
                 if e_max is not None:
                     u.clip(-e_max, e_max, out=u)
                 if zform:
                     z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
-                plant_map.dot(flat[row:row + d], out=flat[row + d:row + d + n])
+                pdot(row, out=x_next)
             ok = np.abs(rec[k0:k1, :n]).max(axis=1) <= limit
             if not ok.all():
                 k = k0 + int(np.argmin(ok))
                 status, t_d = "diverged", k * dt
                 recorded = k + 1 if np.all(np.isfinite(rec[k, :n])) else k
                 break
-        states = rec[:recorded, :n]
-        controls = rec[lag:lag + recorded, n + 1:]
+        states, controls = rec[:recorded, :n], u_out[:recorded]
         if window:
             # the forecast map is zero on state slots past row k, but 0 * inf
             # is NaN: clear the rows the run did not record
             rec[recorded:, :n] = 0.0
-            predictions = _forecasts(forecast, flat, d, recorded)
+            predictions = _forecasts(forecast, ctl_in, recorded)
         elif zform:
             predictions = predictions[:recorded]
         else:
@@ -272,13 +281,11 @@ def _forecast_map(pred: Predictor, d: int) -> np.ndarray:
     return out
 
 
-def _forecasts(forecast: np.ndarray, flat: np.ndarray, d: int, rows: int) -> np.ndarray:
-    """Row k is ``forecast`` applied to flat[k d:k d + width], for k < rows,
-    a chunk of windows at a time so that the copy BLAS needs stays small."""
-    width = forecast.shape[1]
-    windows = sliding_window_view(flat, width)[::d]
+def _forecasts(forecast: np.ndarray, windows: np.ndarray, rows: int) -> np.ndarray:
+    """Row k is ``forecast`` applied to ``windows[k]``, for k < rows, a chunk
+    of windows at a time so that the copy BLAS needs stays small."""
     out = np.empty((rows, forecast.shape[0]))
-    chunk = max(1, _FILL_BYTES // (8 * width))
+    chunk = max(1, _FILL_BYTES // (8 * forecast.shape[1]))
     for r0 in range(0, rows, chunk):
         r1 = min(r0 + chunk, rows)
         np.dot(windows[r0:r1], forecast.T, out=out[r0:r1])
@@ -326,15 +333,14 @@ def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:
 def sweep_delay(base_scenario: Scenario, h_values) -> list[tuple[float, Metrics, Metrics]]:
     """Run naive vs. predictor-window pairs over a list of delays.
 
-    Each h must be an integer multiple of the scenario's dt. Results keep the
-    input order.
+    Each h must be an integer multiple of the scenario's dt. All runs share
+    one :class:`Sampling`. Results keep the input order.
     """
+    sampling = Sampling(base_scenario)
     out = []
     for h in h_values:
         plant = LtiPlant(base_scenario.plant.A, base_scenario.plant.B, float(h))
-        naive = replace(base_scenario, plant=plant, controller="naive")
-        pred = replace(base_scenario, plant=plant, controller="predictor-window")
-        _, m_naive = run(naive)
-        _, m_pred = run(pred)
+        _, m_naive = run(replace(base_scenario, plant=plant, controller="naive"), sampling)
+        _, m_pred = run(replace(base_scenario, plant=plant, controller="predictor-window"), sampling)
         out.append((float(h), m_naive, m_pred))
     return out

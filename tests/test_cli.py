@@ -216,6 +216,22 @@ class TestRunCommand:
         assert len(err.splitlines()) == 1
         assert "'delay'" in err and "horizon" not in err
 
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    @pytest.mark.parametrize("delay,dt,horizon,key", [
+        ("0.3", "1e-320", "10", "'delay'"),  # h/dt overflows
+        ("0", "1e-320", "10", "'horizon'"),  # T/dt overflows
+        ("0.3", "1e-310", "1e-300", "'delay'"),
+    ])
+    def test_step_count_beyond_float_range(self, tmp_path, capsys, command, delay, dt, horizon, key):
+        text = MINIMAL.replace("delay = 0.3", f"delay = {delay}")
+        cfg = write_config(tmp_path, text=text, extra=f"dt = {dt}\nhorizon = {horizon}\n")
+        sweep = ["--h-min", "0", "--h-max", "0.5", "--steps", "3"] if command == "sweep" else []
+        code = cli.main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")] + sweep)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert key in err and "finite number of dt=" in err
+
     def test_controller_override(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 1\n")
         out = tmp_path / "out"
@@ -277,6 +293,17 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "--h-max" in err and "horizon" not in err
+
+    def test_grid_beyond_float_range(self, tmp_path, capsys):
+        # 1e10 steps of horizon fit in a float; the grid's 0.5 s / 1e-310 do not
+        cfg = write_config(tmp_path, text=MINIMAL.replace("delay = 0.3", "delay = 0"),
+                           extra="dt = 1e-310\nhorizon = 1e-300\n")
+        code = cli.main(["sweep", "--config", str(cfg), "--h-min", "0", "--h-max", "0.5",
+                         "--steps", "3", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "--h-max" in err and "finite number of dt=" in err
 
     def test_grid_rounded_and_deduplicated(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 2\n")

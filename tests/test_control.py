@@ -199,6 +199,26 @@ class TestPredictState:
             reference = rk4_zoh_oracle(a, b, x, holds, dt, substeps=200)
             np.testing.assert_allclose(predicted, reference, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 31, 100, 1000])
+    @pytest.mark.parametrize("kind", ["unstable", "non-normal"])
+    def test_doubling_matches_sequential_product(self, rng, depth, kind):
+        # G is built by doubling; the reference is one Ad @ block per step
+        if kind == "unstable":
+            a = random_matrix(rng, 3, 2.0) + 0.5 * np.eye(3)
+            b = random_matrix(rng, 3, 1.5)[:, :2]
+        else:
+            a, b = np.array([[0.3, 20.0], [0.0, 0.3]]), np.array([[0.0], [1.0]])
+        dt = 0.01
+        pred = Predictor(LtiPlant(a, b, depth * dt), dt)
+        (n, m), block = b.shape, pred.Bd
+        expected = np.empty((n, depth * m))
+        for i in reversed(range(depth)):
+            expected[:, i * m:(i + 1) * m] = block
+            block = pred.Ad @ block
+        assert pred.G.shape == expected.shape
+        scale = np.max(np.abs(expected), initial=0.0)
+        assert np.max(np.abs(pred.G - expected), initial=0.0) <= 1e-12 * scale
+
 
 class TestRegulator:
     def test_fixed_point_at_setpoint(self):

@@ -133,6 +133,18 @@ class TestPose:
         assert path.shape == (1001, 3)
         np.testing.assert_allclose(path, expected, rtol=0, atol=1e-12)
 
+    def test_heading_is_stepwise_wrap(self):
+        # the heading recurrence is the per-step wrap_angle loop, bit for bit,
+        # up to turn rates of 1e6 rad/s
+        for seed in range(20):
+            r = np.random.default_rng(seed)
+            omega = r.uniform(-1.0, 1.0, 500) * 10.0 ** r.uniform(0.0, 6.0, 500)
+            heading = [0.0]
+            for w in omega.tolist():
+                heading.append(wrap_angle(heading[-1] + 0.01 / 6.0 * (w + 2 * w + 2 * w + w)))
+            path = pose_path(np.column_stack([r.uniform(-2.0, 2.0, 500), omega]), 0.01)
+            assert np.array_equal(path[:, 2], heading)
+
     def test_steady_turn_heading_does_not_drift(self):
         # 20000 steps of one turn rate: a heading summed without wrapping
         # drifts by rounding as the sum grows past 1000 rad

@@ -18,6 +18,7 @@ from delaycomp.robot import LtiPlant, params_to_lti, RobotParams
 from delaycomp.sim import (
     CONTROLLERS,
     Metrics,
+    Sampling,
     Scenario,
     Trajectory,
     compute_metrics,
@@ -408,6 +409,27 @@ class TestMetrics:
         sp = Setpoint(np.zeros(1), np.zeros(1))
         m = compute_metrics(traj, sp, np.array([1.0]))
         assert m.diverged and not m.settled and m.settling_time is None
+
+
+class TestSharedSampling:
+    """Runs that differ only in delay or controller share one Sampling."""
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    @pytest.mark.parametrize("e_max", [None, 0.6])
+    def test_shared_equals_own(self, controller, e_max):
+        sc = replace(robot_scenario(controller), e_max=e_max)
+        shared = Sampling(robot_scenario("naive", h=1.0))
+        own, _ = run(sc)
+        given, _ = run(sc, shared)
+        for name in ("states", "controls", "predictions"):
+            np.testing.assert_array_equal(getattr(given, name), getattr(own, name))
+
+    def test_sweep_equals_separate_runs(self):
+        base = scalar_scenario("naive", h=0.1, T=30.0)
+        for h, m_naive, m_pred in sweep_delay(base, [0.0, 0.05, 0.15, 0.25]):
+            plant = LtiPlant(base.plant.A, base.plant.B, h)
+            assert m_naive == run(replace(base, plant=plant))[1]
+            assert m_pred == run(replace(base, plant=plant, controller="predictor-window"))[1]
 
 
 class TestSweep:
