@@ -22,7 +22,6 @@ from .robot import (
 from .sim import (
     CONTROLLERS,
     Metrics,
-    Sampling,
     Scenario,
     Trajectory,
     compute_metrics,

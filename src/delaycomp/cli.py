@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import delay_steps, design_gain, make_setpoint
 from .robot import RobotParams, params_to_lti
-from .sim import CONTROLLERS, Metrics, Sampling, Scenario, Trajectory, run, sweep_delay
+from .sim import CONTROLLERS, Metrics, Scenario, Trajectory, run, sweep_delay
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -239,12 +239,10 @@ def cmd_compare(config: Config) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    scenarios = [build_scenario(config, controller=c) for c in ("naive", "predictor-window")]
-    sampling = Sampling(scenarios[0])
-    for scenario in scenarios:
-        traj, metrics = run(scenario, sampling)
-        write_trajectory_csv(out / f"{scenario.controller}.csv", traj)
-        rows.append((scenario.controller, metrics))
+    for controller in ("naive", "predictor-window"):
+        traj, metrics = run(build_scenario(config, controller=controller))
+        write_trajectory_csv(out / f"{controller}.csv", traj)
+        rows.append((controller, metrics))
 
     header = f"{'controller':<18}{'settled':<9}{'settling_time':<15}{'max_excursion':<15}{'max_pred_error':<16}{'diverged':<9}"
     lines = [header, "-" * len(header)]

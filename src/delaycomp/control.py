@@ -160,9 +160,8 @@ def delay_steps(h: float, dt: float) -> int:
 class Predictor:
     """Exact h-second-ahead state forecast for one plant and sample period.
 
-    ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step discretization
-    (``step``, when the caller has it already),
-    ``exp_h`` = Ad^N = e^{Ah} and ``G`` = [Ad^{N-1} Bd ... Ad Bd  Bd], so a
+    ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step discretization (or
+    ``step``), ``exp_h`` = Ad^N = e^{Ah} and ``G`` = [Ad^{N-1} Bd ... Bd], so a
     forecast costs two matrix-vector products. The forecast is linear in
     (x, u), so it applies unchanged to deviations from an equilibrium.
     """

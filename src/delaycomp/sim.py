@@ -135,21 +135,15 @@ def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float, step=None) -> np.nda
         return np.asarray(K, dtype=float)
 
 
-class Sampling:
-    """A run's set-up that its delay and controller do not change: the exact
-    ZOH step (Ad, Bd) and matched gain Kd of the scenario's plant, gain and
-    dt, from one discretization. Runs that share those three may share it."""
-
-    def __init__(self, scenario: Scenario):
-        plant, dt = scenario.plant, scenario.dt
-        self.Ad, self.Bd = zoh_discretize(plant.A, plant.B, dt)
-        self.Kd = matched_gain(plant, scenario.gain.K, dt, (self.Ad, self.Bd))
+def _discretize(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Ad, Bd, Kd) for the scenario's plant, gain and dt, from one ZOH
+    discretization; the delay and controller do not change them."""
+    step = zoh_discretize(scenario.plant.A, scenario.plant.B, scenario.dt)
+    return step + (matched_gain(scenario.plant, scenario.gain.K, scenario.dt, step),)
 
 
-def run(scenario: Scenario, sampling: Sampling | None = None) -> tuple[Trajectory, Metrics]:
+def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     """Simulate one scenario; returns the trajectory and its metrics.
-
-    ``sampling``, the scenario's :class:`Sampling`, is built when not given.
 
     The run lives in one record indexed by step, so no clock can drift. Row r
     holds (x_r, 1, v_r): the state, a constant 1 and the input held over step
@@ -174,12 +168,13 @@ def run(scenario: Scenario, sampling: Sampling | None = None) -> tuple[Trajector
     window form's forecasts are the forecast map applied to the recorded
     rows, and the poses are integrated from the recorded states.
     """
-    sampling = sampling or Sampling(scenario)
+    # sweep_delay hands in the (Ad, Bd, Kd) its runs share
+    Ad, Bd, Kd = _shared or _discretize(scenario)
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
     steps = round(scenario.T / dt)
-    pred = Predictor(plant, dt, (sampling.Ad, sampling.Bd))
-    N, Kd = pred.depth, sampling.Kd
+    pred = Predictor(plant, dt, (Ad, Bd))
+    N = pred.depth
     lag = 0 if controller == "nodelay" else N
     window, zform = controller == "predictor-window", controller == "predictor-zform"
     x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
@@ -194,7 +189,7 @@ def run(scenario: Scenario, sampling: Sampling | None = None) -> tuple[Trajector
     rec[:, n] = 1.0
     rec[:lag, n + 1:] = u_star
     rec[0, :n] = scenario.x0
-    plant_map = np.hstack([sampling.Ad, np.zeros((n, 1)), sampling.Bd])
+    plant_map = np.hstack([Ad, np.zeros((n, 1)), Bd])
     if window:
         forecast = _forecast_map(pred, d)
         control_map = Kd @ forecast
@@ -334,13 +329,13 @@ def sweep_delay(base_scenario: Scenario, h_values) -> list[tuple[float, Metrics,
     """Run naive vs. predictor-window pairs over a list of delays.
 
     Each h must be an integer multiple of the scenario's dt. All runs share
-    one :class:`Sampling`. Results keep the input order.
+    one discretization of the plant and gain. Results keep the input order.
     """
-    sampling = Sampling(base_scenario)
+    shared = _discretize(base_scenario)
     out = []
     for h in h_values:
         plant = LtiPlant(base_scenario.plant.A, base_scenario.plant.B, float(h))
-        _, m_naive = run(replace(base_scenario, plant=plant, controller="naive"), sampling)
-        _, m_pred = run(replace(base_scenario, plant=plant, controller="predictor-window"), sampling)
+        _, m_naive = run(replace(base_scenario, plant=plant, controller="naive"), _shared=shared)
+        _, m_pred = run(replace(base_scenario, plant=plant, controller="predictor-window"), _shared=shared)
         out.append((float(h), m_naive, m_pred))
     return out

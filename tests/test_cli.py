@@ -216,11 +216,17 @@ class TestRunCommand:
         assert len(err.splitlines()) == 1
         assert "'delay'" in err and "horizon" not in err
 
-    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
-    @pytest.mark.parametrize("delay,dt,horizon,key", [
-        ("0.3", "1e-320", "10", "'delay'"),  # h/dt overflows
-        ("0", "1e-320", "10", "'horizon'"),  # T/dt overflows
-        ("0.3", "1e-310", "1e-300", "'delay'"),
+    # sweep sets the delay of every run itself, so its cases keep the
+    # config's delay at 0 and overflow only T/dt
+    @pytest.mark.parametrize("command,delay,dt,horizon,key", [
+        (command, delay, dt, horizon, key)
+        for command in ("run", "compare", "sweep")
+        for delay, dt, horizon, key in [
+            ("0.3", "1e-320", "10", "'delay'"),  # h/dt overflows
+            ("0", "1e-320", "10", "'horizon'"),  # T/dt overflows
+            ("0.3", "1e-310", "1e-300", "'delay'"),
+        ]
+        if command != "sweep" or delay == "0"
     ])
     def test_step_count_beyond_float_range(self, tmp_path, capsys, command, delay, dt, horizon, key):
         text = MINIMAL.replace("delay = 0.3", f"delay = {delay}")

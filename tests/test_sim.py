@@ -18,9 +18,9 @@ from delaycomp.robot import LtiPlant, params_to_lti, RobotParams
 from delaycomp.sim import (
     CONTROLLERS,
     Metrics,
-    Sampling,
     Scenario,
     Trajectory,
+    _discretize,
     compute_metrics,
     matched_gain,
     run,
@@ -411,16 +411,16 @@ class TestMetrics:
         assert m.diverged and not m.settled and m.settling_time is None
 
 
-class TestSharedSampling:
-    """Runs that differ only in delay or controller share one Sampling."""
+class TestSharedDiscretization:
+    """Runs that differ only in delay or controller share one (Ad, Bd, Kd)."""
 
     @pytest.mark.parametrize("controller", CONTROLLERS)
     @pytest.mark.parametrize("e_max", [None, 0.6])
     def test_shared_equals_own(self, controller, e_max):
         sc = replace(robot_scenario(controller), e_max=e_max)
-        shared = Sampling(robot_scenario("naive", h=1.0))
+        shared = _discretize(robot_scenario("naive", h=1.0))
         own, _ = run(sc)
-        given, _ = run(sc, shared)
+        given, _ = run(sc, _shared=shared)
         for name in ("states", "controls", "predictions"):
             np.testing.assert_array_equal(getattr(given, name), getattr(own, name))
 
