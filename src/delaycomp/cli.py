@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import delay_steps, design_gain, make_setpoint
-from .robot import RobotParams, params_to_lti
+from .robot import RobotParams, params_to_lti, pose_path
 from .sim import CONTROLLERS, Metrics, Scenario, Trajectory, run, sweep_delay
 
 EXIT_OK = 0
@@ -130,10 +130,6 @@ def parse_config(text: str) -> Config:
     horizon = number("horizon", 10.0)
     if not horizon >= dt:
         raise ConfigError("horizon", f"must be >= dt, got {horizon:g}")
-    try:
-        delay_steps(delay, dt)
-    except ValueError as exc:
-        raise ConfigError("delay", str(exc)) from None
 
     poles_text = raw.get("poles", "-5,-5")
     parts = [p.strip() for p in poles_text.split(",")]
@@ -173,6 +169,10 @@ def parse_config(text: str) -> Config:
 
 def build_scenario(config: Config, controller: str | None = None) -> Scenario:
     """Assemble the simulation scenario a config describes."""
+    try:
+        delay_steps(config.delay, config.dt)
+    except ValueError as exc:
+        raise ConfigError("delay", str(exc)) from None
     plant = params_to_lti(config.params, config.delay)
     gain = design_gain(plant, config.poles)
     setpoint = make_setpoint(plant, [config.v_ref, config.w_ref])
@@ -188,8 +188,8 @@ def build_scenario(config: Config, controller: str | None = None) -> Scenario:
             e_max=config.e_max,
         )
     except ValueError as exc:
-        # parse_config has validated every other field, so what is left is
-        # the horizon: the z form's bound on it, or too many steps of dt
+        # every other field is checked above or by parse_config, so what is
+        # left is the horizon: the z form's bound on it, or too many steps of dt
         raise ConfigError("horizon", str(exc)) from None
 
 
@@ -204,7 +204,9 @@ _ROW_NO_PRED = ",".join(["%.17g"] * 5 + ["", ""] + ["%.17g"] * 3)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    table = np.column_stack([traj.t, traj.states, traj.controls, traj.predictions, traj.poses])
+    """One row per sample; row k's x, y, heading is the pose after steps 0..k-1."""
+    poses = pose_path(traj.states[:-1], traj.dt)
+    table = np.column_stack([traj.t, traj.states, traj.controls, traj.predictions, poses])
     has_pred = ~np.any(np.isnan(traj.predictions), axis=1)
     lines = [CSV_HEADER]
     for row, full in zip(table.tolist(), has_pred.tolist()):
@@ -263,12 +265,16 @@ def cmd_compare(config: Config) -> int:
 
 def cmd_sweep(config: Config, h_min: float, h_max: float, steps: int) -> int:
     """Sweep the delay over a grid and tabulate naive vs. predictor metrics."""
-    if steps < 1 or h_max < h_min or h_min < 0:
+    # a NaN fails this form of the check
+    if not (steps >= 1 and 0 <= h_min <= h_max):
         raise _UsageError(f"invalid sweep range: h_min={h_min}, h_max={h_max}, steps={steps}")
-    base = build_scenario(config, controller="naive")
+    # every run sets its own delay, so the config's is not checked
+    base = build_scenario(replace(config, delay=0.0), controller="naive")
     if not math.isfinite(h_max / config.dt):
         raise _UsageError(f"--h-max {h_max:g} is not a finite number of dt={config.dt:g} steps")
-    # grid points rounded to whole steps, deduplicated in order
+    # grid points rounded to whole steps, deduplicated in order; below a
+    # spacing of dt every depth in range is on the grid, so more points add none
+    steps = min(steps, math.ceil((h_max - h_min) / config.dt) + 2)
     depths = dict.fromkeys(round(h / config.dt) for h in np.linspace(h_min, h_max, steps))
     results = sweep_delay(base, [depth * config.dt for depth in depths])
 
@@ -328,7 +334,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        text = open(args.config, encoding="utf-8").read()
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO

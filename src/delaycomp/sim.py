@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .control import ZFORM_MAX_EXPONENT, Gain, Predictor, Setpoint, delay_steps
-from .robot import LtiPlant, pose_path
+from .robot import LtiPlant
 from .smallmat import SingularMatrixError, as_vector, mat_exp, solve, zoh_discretize
 
 CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
@@ -87,10 +87,7 @@ class Trajectory:
     ``predictions[k]`` is the forecast of the state at t_k + h issued at t_k
     (NaN rows for non-predictor controllers). ``controls[k]`` is the control
     issued at t_k, which the plant receives at t_k + h (at once for nodelay).
-    ``poses[k]`` is the planar pose after steps 0..k-1, integrated from the
-    recorded states of a two-state (v, omega) plant by
-    :func:`~delaycomp.robot.pose_path` once the run has ended; zeros for
-    other plants. ``t_d`` is the time of the state that ended a diverged run.
+    ``t_d`` is the time of the state that ended a diverged run.
     ``states`` and ``controls`` are strided views of the run's record.
     """
 
@@ -98,7 +95,6 @@ class Trajectory:
     states: np.ndarray
     controls: np.ndarray
     predictions: np.ndarray
-    poses: np.ndarray
     status: str  # "completed" | "diverged"
     t_d: float | None
     dt: float
@@ -165,8 +161,7 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     run is cut where a per-step test would cut it: at the first state whose
     inf-norm exceeds the threshold or is not finite, as diverged at that
     state's time; a non-finite state is not recorded. After the loop, the
-    window form's forecasts are the forecast map applied to the recorded
-    rows, and the poses are integrated from the recorded states.
+    window form's forecasts are the forecast map over the recorded rows.
     """
     # sweep_delay hands in the (Ad, Bd, Kd) its runs share
     Ad, Bd, Kd = _shared or _discretize(scenario)
@@ -246,15 +241,12 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
             predictions = predictions[:recorded]
         else:
             predictions = np.full((recorded, n), np.nan)
-        # row k uses the velocities of steps 0..k-1
-        poses = pose_path(states[:-1], dt) if n == 2 else np.zeros((recorded, 3))
 
     traj = Trajectory(
         t=t_arr[:recorded],
         states=states,
         controls=controls,
         predictions=predictions,
-        poses=poses,
         status=status,
         t_d=t_d,
         dt=dt,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,13 @@ from delaycomp.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
+    build_scenario,
     parse_config,
 )
+from delaycomp.robot import pose_path
+from delaycomp.sim import run as sim_run
+
+from conftest import pose_oracle
 
 MINIMAL = """\
 mass = 1
@@ -75,9 +82,12 @@ class TestParseConfig:
         assert err.value.key == key
 
     def test_delay_integrality(self):
+        # checked where a scenario is built: sweep sets every run's delay itself
+        config = parse_config(MINIMAL.replace("delay = 0.3", "delay = 0.25") + "dt = 0.1\n")
         with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL.replace("delay = 0.3", "delay = 0.25") + "dt = 0.1\n")
+            build_scenario(config)
         assert err.value.key == "delay"
+        assert "not an integer multiple of dt" in str(err.value)
 
     def test_missing_required(self):
         with pytest.raises(ConfigError) as err:
@@ -109,9 +119,6 @@ class TestRunCommand:
         assert "diverged = false" in metrics
 
     def test_csv_round_trip_full_precision(self, tmp_path):
-        from delaycomp.cli import build_scenario
-        from delaycomp.sim import run as sim_run
-
         cfg_path = write_config(tmp_path, extra="horizon = 1\n")
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == EXIT_OK
@@ -124,19 +131,17 @@ class TestRunCommand:
         np.testing.assert_array_equal(loaded["omega"], traj.states[:, 1])
         np.testing.assert_array_equal(loaded["e_m"], traj.controls[:, 0])
         np.testing.assert_array_equal(loaded["v_pred"], traj.predictions[:, 0])
-        np.testing.assert_array_equal(loaded["heading"], traj.poses[:, 2])
+        np.testing.assert_array_equal(loaded["heading"], pose_path(traj.states[:-1], traj.dt)[:, 2])
 
     @pytest.mark.parametrize("controller", ["predictor-window", "naive"])
     def test_csv_text_matches_per_field_format(self, tmp_path, controller):
-        from delaycomp.cli import build_scenario
-        from delaycomp.sim import run as sim_run
-
         cfg_path = write_config(tmp_path, extra="horizon = 2\n")
         out = tmp_path / "out"
         argv = ["run", "--config", str(cfg_path), "--controller", controller, "--out-dir", str(out)]
         assert cli.main(argv) == EXIT_OK
         config = parse_config(cfg_path.read_text())
         traj, _ = sim_run(build_scenario(config, controller=controller))
+        poses = pose_path(traj.states[:-1], traj.dt)
 
         def fields(values):
             return [format(v, ".17g") for v in values]
@@ -146,9 +151,32 @@ class TestRunCommand:
             pred = traj.predictions[k]
             pred_fields = ["", ""] if np.any(np.isnan(pred)) else fields(pred)
             lines.append(",".join(
-                fields([traj.t[k], *traj.states[k], *traj.controls[k]]) + pred_fields + fields(traj.poses[k])
+                fields([traj.t[k], *traj.states[k], *traj.controls[k]]) + pred_fields + fields(poses[k])
             ))
         assert (out / f"{controller}.csv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("controller,delay,horizon,x0,code", [
+        ("predictor-window", 0.3, 10.0, (0.0, 0.0), EXIT_OK),
+        ("naive", 1.0, 60.0, (0.3, -2.0), EXIT_DIVERGED),
+    ])
+    def test_poses_follow_recorded_states(self, tmp_path, controller, delay, horizon, x0, code):
+        text = MINIMAL.replace("delay = 0.3", f"delay = {delay}")
+        cfg = write_config(tmp_path, text=text,
+                           extra=f"controller = {controller}\nhorizon = {horizon}\nv0 = {x0[0]}\nw0 = {x0[1]}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(out)]) == code
+        data = np.genfromtxt(out / f"{controller}.csv", delimiter=",", names=True)
+        poses = np.column_stack([data["x"], data["y"], data["heading"]])
+        # row k is the pose after steps 0..k-1
+        expected = pose_oracle(np.column_stack([data["v"], data["omega"]])[:-1], 0.01)
+        np.testing.assert_allclose(poses, expected, rtol=1e-12, atol=1e-12)
+
+    def test_config_file_closed(self, tmp_path):
+        cfg = write_config(tmp_path, extra="horizon = 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_nonpredictor_leaves_prediction_columns_empty(self, tmp_path):
         cfg = write_config(tmp_path, extra="controller = naive\nhorizon = 1\n")
@@ -216,17 +244,16 @@ class TestRunCommand:
         assert len(err.splitlines()) == 1
         assert "'delay'" in err and "horizon" not in err
 
-    # sweep sets the delay of every run itself, so its cases keep the
-    # config's delay at 0 and overflow only T/dt
+    # sweep sets the delay of every run itself and never checks the config's:
+    # it names the horizon, or --h-max where only the grid overflows
     @pytest.mark.parametrize("command,delay,dt,horizon,key", [
-        (command, delay, dt, horizon, key)
+        (command, delay, dt, horizon, sweep_key if command == "sweep" else key)
         for command in ("run", "compare", "sweep")
-        for delay, dt, horizon, key in [
-            ("0.3", "1e-320", "10", "'delay'"),  # h/dt overflows
-            ("0", "1e-320", "10", "'horizon'"),  # T/dt overflows
-            ("0.3", "1e-310", "1e-300", "'delay'"),
+        for delay, dt, horizon, key, sweep_key in [
+            ("0.3", "1e-320", "10", "'delay'", "'horizon'"),  # h/dt overflows
+            ("0", "1e-320", "10", "'horizon'", "'horizon'"),  # T/dt overflows
+            ("0.3", "1e-310", "1e-300", "'delay'", "--h-max"),
         ]
-        if command != "sweep" or delay == "0"
     ])
     def test_step_count_beyond_float_range(self, tmp_path, capsys, command, delay, dt, horizon, key):
         text = MINIMAL.replace("delay = 0.3", f"delay = {delay}")
@@ -237,6 +264,8 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert key in err and "finite number of dt=" in err
+        if command == "sweep":
+            assert "'delay'" not in err
 
     def test_controller_override(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 1\n")
@@ -283,12 +312,47 @@ class TestSweepCommand:
         assert fields[1] == fields[3] == "true"
         assert fields[2] == fields[4]
 
-    def test_invalid_range(self, tmp_path):
+    def test_invalid_range(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert cli.main(["sweep", "--config", str(cfg), "--h-min", "0.3", "--h-max", "0.1",
-                         "--steps", "3"]) == EXIT_USAGE
-        assert cli.main(["sweep", "--config", str(cfg), "--h-min", "0", "--h-max", "0.1",
-                         "--steps", "0"]) == EXIT_USAGE
+        # a NaN bound fails every comparison, so it must fail the range check too
+        for h_min, h_max, steps in [("0.3", "0.1", "3"), ("0", "0.1", "0"), ("nan", "0.1", "3"),
+                                    ("0", "nan", "3")]:
+            assert cli.main(["sweep", "--config", str(cfg), "--h-min", h_min, "--h-max", h_max,
+                             "--steps", steps]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "invalid sweep range" in err
+
+    def test_config_delay_not_checked(self, tmp_path, capsys):
+        # no swept run uses the config's delay, so one off the dt grid is harmless
+        sweep = ["--h-min", "0", "--h-max", "0.3", "--steps", "4"]
+        written = []
+        for delay in ("0.3", "0.305"):
+            cfg = write_config(tmp_path, text=MINIMAL.replace("delay = 0.3", f"delay = {delay}"),
+                               extra="horizon = 3\n")
+            out = tmp_path / delay
+            assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(out)] + sweep) == EXIT_OK
+            written.append((out / "sweep.csv").read_text())
+        assert written[0] == written[1]
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == EXIT_USAGE
+        assert "'delay'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h_min,h_max,dt", [
+        ("0.05", "0.25", "0.01"),
+        ("0.125", "1.875", "0.25"),  # grid points dt apart fall on half steps
+    ])
+    def test_grid_capped_at_distinct_depths(self, tmp_path, h_min, h_max, dt):
+        cfg = write_config(tmp_path, text=MINIMAL.replace("delay = 0.3", "delay = 0"),
+                           extra=f"dt = {dt}\nhorizon = 2\n")
+        written = []
+        for steps in ("1000000000000000", "51"):
+            out = tmp_path / steps
+            assert cli.main(["sweep", "--config", str(cfg), "--h-min", h_min, "--h-max", h_max,
+                             "--steps", steps, "--out-dir", str(out)]) == EXIT_OK
+            written.append((out / "sweep.csv").read_text())
+        assert written[0] == written[1]
+        # every depth from the first to the last is swept
+        depths = [round(float(line.split(",")[0]) / float(dt)) for line in written[0].splitlines()[1:]]
+        assert depths == list(range(depths[0], depths[-1] + 1))
 
     def test_delay_too_large_for_memory(self, tmp_path, capsys):
         # the grid's last point is N = 1e14 rows of delay

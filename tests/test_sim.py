@@ -28,7 +28,7 @@ from delaycomp.sim import (
 )
 from delaycomp.smallmat import mat_exp, zoh_discretize
 
-from conftest import pose_oracle, run_oracle, step_plant_exact, step_plant_rk4
+from conftest import run_oracle, step_plant_exact, step_plant_rk4
 
 ROBOT_PARAMS = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k_d=4.0)
 
@@ -329,24 +329,6 @@ class TestForecastControl:
         assert np.all(np.abs(traj.states[1:] - expected) <= 1e-12 * (1.0 + np.abs(expected)))
 
 
-class TestPoses:
-    @pytest.mark.parametrize("controller,h,T,x0,status", [
-        ("predictor-window", 0.3, 10.0, (0.0, 0.0), "completed"),
-        ("naive", 1.0, 60.0, (0.3, -2.0), "diverged"),
-    ])
-    def test_follow_recorded_states(self, controller, h, T, x0, status):
-        traj, _ = run(robot_scenario(controller, h=h, T=T, x0=x0))
-        assert traj.status == status
-        assert traj.poses.shape == (len(traj.t), 3)
-        # row k is the pose after steps 0..k-1
-        expected = pose_oracle(traj.states[:-1], traj.dt)
-        np.testing.assert_allclose(traj.poses, expected, rtol=1e-12, atol=1e-12)
-
-    def test_zero_for_other_plants(self):
-        traj, _ = run(scalar_scenario("naive", k=-1.0, h=0.5, T=1.0))
-        np.testing.assert_array_equal(traj.poses, np.zeros((len(traj.t), 3)))
-
-
 class TestOrderCheck:
     def test_rk4_halving_ratio(self, rng):
         plant = params_to_lti(ROBOT_PARAMS, 0.0)
@@ -378,7 +360,6 @@ class TestMetrics:
             states=states,
             controls=np.zeros((m, states.shape[1])),
             predictions=np.full_like(states, np.nan),
-            poses=np.zeros((m, 3)),
             status=status,
             t_d=t[-1] if status == "diverged" else None,
             dt=dt if dt is not None else (t[1] - t[0] if m > 1 else 1.0),
