@@ -162,17 +162,26 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     inf-norm exceeds the threshold or is not finite, as diverged at that
     state's time; a non-finite state is not recorded. After the loop, the
     window form's forecasts are the forecast map over the recorded rows.
+
+    When u_k acts in the step that computes it (lag = 0: nodelay, or naive
+    and predictor-window at h = 0) and is not clipped (no ``e_max``), a step
+    of any form but the z form is one product: the closed loop's affine map
+    [Ad + Bd Kd | Bd c], where Ad + Bd Kd = e^{(A + B K) dt} for the matched
+    gain, takes (x_k, 1) to x_{k+1}, and the controls are filled after the
+    loop. A non-finite u_k makes the two-product x_{k+1} non-finite, so the
+    first one ends the run as diverged at t_{k+1} unless the state cut comes
+    first.
     """
     # sweep_delay hands in the (Ad, Bd, Kd) its runs share
     Ad, Bd, Kd = _shared or _discretize(scenario)
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
     steps = round(scenario.T / dt)
-    pred = Predictor(plant, dt, (Ad, Bd))
-    N = pred.depth
+    N = delay_steps(plant.h, dt)
     lag = 0 if controller == "nodelay" else N
     window, zform = controller == "predictor-window", controller == "predictor-zform"
     x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
+    fold = lag == 0 and e_max is None and not zform
     c = u_star - Kd @ x_star
     # capped so that a threshold of inf still stops on an infinite state
     limit = min(scenario.divergence_threshold, np.finfo(float).max)
@@ -180,11 +189,18 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     d = n + 1 + m
     # the last control goes to row steps + lag; the plant step after the last
     # sample writes row steps + 1, which is not recorded
-    rec = np.zeros((steps + 1 + max(lag, 1), d))
+    try:
+        rec = np.zeros((steps + 1 + max(lag, 1), d))
+    except ValueError as exc:
+        # numpy refuses a shape past its dimension limit (about 9.2e18) with
+        # ValueError, not MemoryError; such a record does not fit either
+        raise MemoryError(str(exc)) from exc
     rec[:, n] = 1.0
     rec[:lag, n + 1:] = u_star
     rec[0, :n] = scenario.x0
     plant_map = np.hstack([Ad, np.zeros((n, 1)), Bd])
+    if window or zform:
+        pred = Predictor(plant, dt, (Ad, Bd))
     if window:
         forecast = _forecast_map(pred, d)
         control_map = Kd @ forecast
@@ -197,6 +213,8 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     ctl_in = as_strided(rec, (steps + 1, control_map.shape[1]), rec.strides, writeable=False)
     u_out, x_out = rec[lag:, n + 1:], rec[1:, :n]
     cdot, pdot = control_map.dot, plant_map.dot
+    if fold:
+        fdot = (plant_map[:, :n + 1] + Bd @ control_map).dot
     t_arr = np.arange(steps + 1) * dt
     if zform:
         exp_h = pred.exp_h
@@ -205,32 +223,45 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
         offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{At} dz
 
     status, t_d, recorded = "completed", None, steps + 1
+    cut = steps  # the last row a state can end the run at
     # overflow is not an error here: it ends the run as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, steps + 1, _SCAN_BLOCK):
             k1 = min(k0 + _SCAN_BLOCK, steps + 1)
-            if zform:
-                exp_t, z_gain = pred.integral_factors(t_arr[k0:k1])
-            rows = zip(range(k0, k1), ctl_in[k0:k1], u_out[k0:k1], rec[k0:k1], x_out[k0:k1])
-            for k, win, u, row, x_next in rows:
+            if fold:
+                for win, x_next in zip(ctl_in[k0:k1], x_out[k0:k1]):
+                    fdot(win, out=x_next)
+            else:
                 if zform:
-                    j, z_now = k - k0, z[N + k]
-                    xhat = exp_h.dot(row[:n]) + offset + exp_t[j].dot(z_now - z[k])
-                    predictions[k] = xhat
-                    np.add(c, Kd.dot(xhat), out=u)
-                else:
-                    cdot(win, out=u)
-                if e_max is not None:
-                    u.clip(-e_max, e_max, out=u)
-                if zform:
-                    z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
-                pdot(row, out=x_next)
+                    exp_t, z_gain = pred.integral_factors(t_arr[k0:k1])
+                rows = zip(range(k0, k1), ctl_in[k0:k1], u_out[k0:k1], rec[k0:k1], x_out[k0:k1])
+                for k, win, u, row, x_next in rows:
+                    if zform:
+                        j, z_now = k - k0, z[N + k]
+                        xhat = exp_h.dot(row[:n]) + offset + exp_t[j].dot(z_now - z[k])
+                        predictions[k] = xhat
+                        np.add(c, Kd.dot(xhat), out=u)
+                    else:
+                        cdot(win, out=u)
+                    if e_max is not None:
+                        u.clip(-e_max, e_max, out=u)
+                    if zform:
+                        z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
+                    pdot(row, out=x_next)
             ok = np.abs(rec[k0:k1, :n]).max(axis=1) <= limit
             if not ok.all():
-                k = k0 + int(np.argmin(ok))
-                status, t_d = "diverged", k * dt
-                recorded = k + 1 if np.all(np.isfinite(rec[k, :n])) else k
+                cut = k0 + int(np.argmin(ok))
+                status, t_d = "diverged", cut * dt
+                recorded = cut + 1 if np.all(np.isfinite(rec[cut, :n])) else cut
                 break
+        if fold:
+            np.matmul(ctl_in[:recorded], control_map.T, out=u_out[:recorded])
+            # a non-finite u_k makes the two-product step's x_{k+1} non-finite,
+            # which ends the run unless the state cut comes first
+            ok = np.isfinite(u_out[:recorded]).all(axis=1)
+            k = int(np.argmin(ok))
+            if not ok[k] and k < cut:
+                status, t_d, recorded = "diverged", (k + 1) * dt, k + 1
         states, controls = rec[:recorded, :n], u_out[:recorded]
         if window:
             # the forecast map is zero on state slots past row k, but 0 * inf

@@ -225,19 +225,24 @@ class TestRunCommand:
         assert len(err.splitlines()) == 1
         assert "'horizon'" in err
 
-    def test_horizon_too_large_for_memory(self, tmp_path, capsys):
-        # 1e17 steps: numpy refuses the allocation at once
-        cfg = write_config(tmp_path, extra="horizon = 1e15\n")
+    # 1e17 steps: numpy refuses the allocation at once; 1e22 steps are past
+    # its dimension limit, which it reports as a ValueError
+    @pytest.mark.parametrize("horizon", ["1e15", "1e20"])
+    def test_horizon_too_large_for_memory(self, tmp_path, capsys, horizon):
+        cfg = write_config(tmp_path, extra=f"horizon = {horizon}\n")
         code = cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "'horizon'/'dt'" in err
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_delay_too_large_for_memory(self, tmp_path, capsys, command):
-        # N = 1e14 rows of delay: numpy refuses the allocation at once
-        cfg = write_config(tmp_path, text=MINIMAL.replace("delay = 0.3", "delay = 1e12"))
+    # N = 1e14 rows of delay: numpy refuses the allocation at once; N = 1e22
+    # is past its dimension limit
+    @pytest.mark.parametrize("command,delay", [
+        ("run", "1e12"), ("compare", "1e12"), ("run", "1e20"), ("compare", "1e20"),
+    ], ids=["run", "compare", "run-1e20", "compare-1e20"])
+    def test_delay_too_large_for_memory(self, tmp_path, capsys, command, delay):
+        cfg = write_config(tmp_path, text=MINIMAL.replace("delay = 0.3", f"delay = {delay}"))
         code = cli.main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
@@ -354,10 +359,12 @@ class TestSweepCommand:
         depths = [round(float(line.split(",")[0]) / float(dt)) for line in written[0].splitlines()[1:]]
         assert depths == list(range(depths[0], depths[-1] + 1))
 
-    def test_delay_too_large_for_memory(self, tmp_path, capsys):
-        # the grid's last point is N = 1e14 rows of delay
+    # the grid's last point is N = 1e14 rows of delay, or past numpy's
+    # dimension limit
+    @pytest.mark.parametrize("h_max", ["1e12", "1e20", "1e300"])
+    def test_delay_too_large_for_memory(self, tmp_path, capsys, h_max):
         cfg = write_config(tmp_path)
-        code = cli.main(["sweep", "--config", str(cfg), "--h-min", "0", "--h-max", "1e12",
+        code = cli.main(["sweep", "--config", str(cfg), "--h-min", "0", "--h-max", h_max,
                          "--steps", "2", "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err

@@ -184,6 +184,22 @@ class TestLongHorizon:
             first_nonfinite = ad @ traj.states[-1] + bd @ traj.controls[len(traj.t) - 1 - 100]
         assert not np.all(np.isfinite(first_nonfinite))
 
+    @pytest.mark.parametrize("controller,h", [
+        ("nodelay", 0.1), ("naive", 0.0), ("predictor-window", 0.0),
+    ])
+    def test_control_overflow_ends_as_diverged(self, controller, h):
+        # Kd x0 overflows from a finite x0, so u_0 = -inf and the plant step
+        # would make x_1 non-finite, though e^{(A + B K) dt} x0 is finite
+        sc = replace(scalar_scenario(controller, h=h, T=1.0), x0=np.array([5e307]),
+                     divergence_threshold=math.inf)
+        traj, metrics = run(sc)
+        assert (traj.status, traj.t_d, len(traj.t)) == ("diverged", 0.01, 1)
+        assert metrics.diverged
+        np.testing.assert_array_equal(traj.controls, [[-np.inf]])
+        # a finite control keeps the run going
+        traj, _ = run(replace(sc, x0=np.array([1e307])))
+        assert (traj.status, len(traj.t)) == ("completed", 101)
+
 
 def assert_matches_oracle(traj, reference):
     """Same status, length and t_d as the reference loop; states, controls
