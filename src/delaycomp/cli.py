@@ -21,6 +21,7 @@ import numpy as np
 from .control import delay_steps, design_gain, make_setpoint
 from .robot import RobotParams, params_to_lti, pose_path
 from .sim import CONTROLLERS, Metrics, Scenario, Trajectory, run, sweep_delay
+from .smallmat import SingularMatrixError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -30,23 +31,44 @@ EXIT_USAGE = 64
 CSV_HEADER = "t,v,omega,e_m,e_d,v_pred,omega_pred,x,y,heading"
 SWEEP_HEADER = "h,naive_settled,naive_settling_time,predictor_settled,predictor_settling_time,max_pred_error"
 
-_NUMERIC_KEYS = {
-    "mass", "inertia", "friction_v", "friction_w", "wheel_base",
-    "gain_force", "gain_torque", "delay", "dt", "horizon",
-    "v0", "w0", "v_ref", "w_ref", "e_max",
+_REQUIRED = object()  # the default of a key the config must give
+_POSITIVE = (lambda v: v > 0, "must be > 0, got {:g}")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0, got {:g}")
+_NONZERO = (lambda v: v != 0, "must be nonzero")
+_FINITE = (lambda v: True, "")
+
+# Every numeric key: its default and the rule its finite value must pass. The
+# first seven are RobotParams's fields, in its order.
+_NUMBERS = {
+    "mass": (_REQUIRED, _POSITIVE),
+    "inertia": (_REQUIRED, _POSITIVE),
+    "friction_v": (_REQUIRED, _NON_NEGATIVE),
+    "friction_w": (_REQUIRED, _NON_NEGATIVE),
+    "wheel_base": (_REQUIRED, _POSITIVE),
+    "gain_force": (_REQUIRED, _NONZERO),
+    "gain_torque": (_REQUIRED, _NONZERO),
+    "delay": (_REQUIRED, _NON_NEGATIVE),
+    "dt": (0.01, _POSITIVE),
+    "horizon": (10.0, _FINITE),  # and >= dt, checked once dt is known
+    "v0": (0.0, _FINITE),
+    "w0": (0.0, _FINITE),
+    "v_ref": (_REQUIRED, _FINITE),
+    "w_ref": (_REQUIRED, _FINITE),
+    "e_max": (None, _POSITIVE),
 }
-_ALL_KEYS = _NUMERIC_KEYS | {"poles", "controller", "out_dir"}
-_REQUIRED_KEYS = {
-    "mass", "inertia", "friction_v", "friction_w", "wheel_base",
-    "gain_force", "gain_torque", "delay", "v_ref", "w_ref",
-}
+# the keys that set the plant's A and B, and those that set B alone
+_PLANT_KEYS = ("mass", "inertia", "friction_v", "friction_w", "gain_force", "gain_torque")
+_INPUT_KEYS = ("gain_force", "gain_torque", "mass", "inertia")
 
 
 class ConfigError(ValueError):
-    """Config problem; always names the offending key."""
+    """Config problem; always names the offending key, or the keys (a tuple)
+    that together make it."""
 
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config key '{key}': {message}")
+    def __init__(self, key: str | tuple[str, ...], message: str):
+        keys = (key,) if isinstance(key, str) else key
+        names = "/".join(f"'{k}'" for k in keys)
+        super().__init__(f"config key{'s' if len(keys) > 1 else ''} {names}: {message}")
         self.key = key
 
 
@@ -78,7 +100,7 @@ def parse_config(text: str) -> Config:
         if "=" not in line:
             raise ConfigError(line.split()[0], f"line {lineno} is not a 'key = value' pair")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _NUMBERS and key not in ("poles", "controller", "out_dir"):
             raise ConfigError(key, "unknown key")
         if key in raw:
             raise ConfigError(key, "duplicate key")
@@ -86,50 +108,24 @@ def parse_config(text: str) -> Config:
             raise ConfigError(key, "empty value")
         raw[key] = value
 
-    for key in sorted(_REQUIRED_KEYS - raw.keys()):
-        raise ConfigError(key, "required key is missing")
-
-    def number(key: str, default: float | None = None) -> float | None:
+    numbers = {}
+    for key, (default, (holds, rule)) in _NUMBERS.items():
         if key not in raw:
-            return default
+            if default is _REQUIRED:
+                raise ConfigError(key, "required key is missing")
+            numbers[key] = default
+            continue
         try:
             value = float(raw[key])
         except ValueError:
             raise ConfigError(key, f"non-numeric value {raw[key]!r}") from None
         if not math.isfinite(value):
             raise ConfigError(key, f"must be finite, got {raw[key]!r}")
-        return value
-
-    def positive(key: str, value: float) -> float:
-        if not value > 0:
-            raise ConfigError(key, f"must be > 0, got {value:g}")
-        return value
-
-    def non_negative(key: str, value: float) -> float:
-        if not value >= 0:
-            raise ConfigError(key, f"must be >= 0, got {value:g}")
-        return value
-
-    def nonzero(key: str, value: float) -> float:
-        if value == 0:
-            raise ConfigError(key, "must be nonzero")
-        return value
-
-    params = RobotParams(
-        m=positive("mass", number("mass")),
-        J=positive("inertia", number("inertia")),
-        B_v=non_negative("friction_v", number("friction_v")),
-        B_omega=non_negative("friction_w", number("friction_w")),
-        l=positive("wheel_base", number("wheel_base")),
-        k_m=nonzero("gain_force", number("gain_force")),
-        k_d=nonzero("gain_torque", number("gain_torque")),
-    )
-
-    delay = non_negative("delay", number("delay"))
-    dt = positive("dt", number("dt", 0.01))
-    horizon = number("horizon", 10.0)
-    if not horizon >= dt:
-        raise ConfigError("horizon", f"must be >= dt, got {horizon:g}")
+        if not holds(value):
+            raise ConfigError(key, rule.format(value))
+        numbers[key] = value
+    if not numbers["horizon"] >= numbers["dt"]:
+        raise ConfigError("horizon", f"must be >= dt, got {numbers['horizon']:g}")
 
     poles_text = raw.get("poles", "-5,-5")
     parts = [p.strip() for p in poles_text.split(",")]
@@ -147,36 +143,31 @@ def parse_config(text: str) -> Config:
     if controller not in CONTROLLERS:
         raise ConfigError("controller", f"unknown controller {controller!r}; choose from {CONTROLLERS}")
 
-    e_max = number("e_max")
-    if e_max is not None:
-        e_max = positive("e_max", e_max)
-
-    return Config(
-        params=params,
-        delay=delay,
-        dt=dt,
-        horizon=horizon,
-        v0=number("v0", 0.0),
-        w0=number("w0", 0.0),
-        v_ref=number("v_ref"),
-        w_ref=number("w_ref"),
-        poles=poles,
-        controller=controller,
-        e_max=e_max,
-        out_dir=raw.get("out_dir", "out"),
-    )
+    params = RobotParams(*(numbers.pop(key) for key in list(_NUMBERS)[:7]))
+    return Config(params=params, poles=poles, controller=controller,
+                  out_dir=raw.get("out_dir", "out"), **numbers)
 
 
 def build_scenario(config: Config, controller: str | None = None) -> Scenario:
-    """Assemble the simulation scenario a config describes."""
+    """Assemble the simulation scenario a config describes.
+
+    ``parse_config`` checks each value on its own; what only the model can
+    tell fails here, as one :class:`ConfigError` naming the keys of the first
+    stage that fails: ``delay`` (its step count), the keys that set A and B
+    (an entry not finite), ``poles`` (A + B K not Hurwitz, or K not finite),
+    ``v_ref``/``w_ref`` (u* not finite) or, if B is singular, the keys that
+    set B, and ``horizon`` (the z form's bound, or too many steps of dt).
+    """
+    key = "delay"
     try:
         delay_steps(config.delay, config.dt)
-    except ValueError as exc:
-        raise ConfigError("delay", str(exc)) from None
-    plant = params_to_lti(config.params, config.delay)
-    gain = design_gain(plant, config.poles)
-    setpoint = make_setpoint(plant, [config.v_ref, config.w_ref])
-    try:
+        key = _PLANT_KEYS
+        plant = params_to_lti(config.params, config.delay)
+        key = "poles"
+        gain = design_gain(plant, config.poles)
+        key = ("v_ref", "w_ref")
+        setpoint = make_setpoint(plant, [config.v_ref, config.w_ref])
+        key = "horizon"
         return Scenario(
             plant=plant,
             gain=gain,
@@ -187,10 +178,8 @@ def build_scenario(config: Config, controller: str | None = None) -> Scenario:
             T=config.horizon,
             e_max=config.e_max,
         )
-    except ValueError as exc:
-        # every other field is checked above or by parse_config, so what is
-        # left is the horizon: the z form's bound on it, or too many steps of dt
-        raise ConfigError("horizon", str(exc)) from None
+    except ValueError as exc:  # only the setpoint solves with B
+        raise ConfigError(_INPUT_KEYS if isinstance(exc, SingularMatrixError) else key, str(exc)) from None
 
 
 def _fmt(value: float) -> str:
@@ -224,27 +213,28 @@ def _metrics_lines(m: Metrics) -> list[str]:
     ]
 
 
-def cmd_run(config: Config, name: str | None = None, controller: str | None = None) -> int:
-    """Run one scenario; write <name>.csv and <name>.metrics.txt."""
-    scenario = build_scenario(config, controller=controller)
-    name = name or scenario.controller
-    traj, metrics = run(scenario)
+def _run_and_write(config: Config, controller: str, name: str) -> Metrics:
+    """Build and run one controller's scenario, then make the directory and write <name>.csv."""
+    traj, metrics = run(build_scenario(config, controller=controller))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / f"{name}.csv", traj)
-    (out / f"{name}.metrics.txt").write_text("\n".join(_metrics_lines(metrics)) + "\n")
+    return metrics
+
+
+def cmd_run(config: Config, name: str | None = None, controller: str | None = None) -> int:
+    """Run one scenario; write <name>.csv and <name>.metrics.txt."""
+    controller = controller or config.controller
+    name = name or controller
+    metrics = _run_and_write(config, controller, name)
+    (Path(config.out_dir) / f"{name}.metrics.txt").write_text("\n".join(_metrics_lines(metrics)) + "\n")
     return EXIT_DIVERGED if metrics.diverged else EXIT_OK
 
 
 def cmd_compare(config: Config) -> int:
     """Run naive and predictor-window side by side and report both."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for controller in ("naive", "predictor-window"):
-        traj, metrics = run(build_scenario(config, controller=controller))
-        write_trajectory_csv(out / f"{controller}.csv", traj)
-        rows.append((controller, metrics))
+    rows = [(controller, _run_and_write(config, controller, controller))
+            for controller in ("naive", "predictor-window")]
 
     header = f"{'controller':<18}{'settled':<9}{'settling_time':<15}{'max_excursion':<15}{'max_pred_error':<16}{'diverged':<9}"
     lines = [header, "-" * len(header)]
@@ -258,7 +248,7 @@ def cmd_compare(config: Config) -> int:
             f"{('yes' if m.diverged else 'no'):<9}"
         )
     report = "\n".join(lines) + "\n"
-    (out / "compare.txt").write_text(report)
+    (Path(config.out_dir) / "compare.txt").write_text(report)
     sys.stdout.write(report)
     return EXIT_OK
 
@@ -329,31 +319,20 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot read config: {exc}", file=sys.stderr)
+            return EXIT_IO
         config = parse_config(text)
-    except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.out_dir:
-        config = replace(config, out_dir=args.out_dir)
-
-    try:
-        if args.command == "run":
-            return cmd_run(config, name=args.name, controller=args.controller)
-        if args.command == "compare":
-            return cmd_compare(config)
-        return cmd_sweep(config, args.h_min, args.h_max, args.steps)  # the only other subcommand
+        if args.out_dir:
+            config = replace(config, out_dir=args.out_dir)
+        with np.errstate(all="ignore"):  # an overflow ends as a non-finite value the checks report
+            if args.command == "run":
+                return cmd_run(config, name=args.name, controller=args.controller)
+            if args.command == "compare":
+                return cmd_compare(config)
+            return cmd_sweep(config, args.h_min, args.h_max, args.steps)  # the only other subcommand
     except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -363,11 +342,10 @@ def main(argv=None) -> int:
     except MemoryError:
         # a run holds N + steps rows: name whichever of the two is larger
         steps = round(config.horizon / config.dt)
-        sweep = args.command == "sweep"
-        depth = round((args.h_max if sweep else config.delay) / config.dt)
+        depth = round((args.h_max if args.command == "sweep" else config.delay) / config.dt)
         if depth <= steps:
             where, fix = "config keys 'horizon'/'dt'", "shorten horizon"
-        elif sweep:
+        elif args.command == "sweep":
             where, fix = "option --h-max", "lower --h-max"
         else:
             where, fix = "config key 'delay'", "shorten delay"

@@ -152,8 +152,6 @@ def _routh_stable(coeffs: np.ndarray) -> bool:
     """
     c = list(coeffs)
     n = len(c) - 1
-    if n == 0:
-        return True
     # Necessary condition for a monic Hurwitz polynomial.
     if any(ck <= 0.0 for ck in c[1:]):
         return False

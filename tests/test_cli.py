@@ -1,7 +1,14 @@
+import contextlib
+import io
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from delaycomp import cli
 from delaycomp.cli import (
@@ -37,6 +44,25 @@ def write_config(tmp_path, text=MINIMAL, extra=""):
     path = tmp_path / "robot.cfg"
     path.write_text(text + extra)
     return path
+
+
+ROBOT_CFG = (Path(__file__).resolve().parents[1] / "configs" / "robot.cfg").read_text()
+ROBOT_KEYS = ["mass", "inertia", "friction_v", "friction_w", "wheel_base", "gain_force",
+              "gain_torque", "delay", "dt", "horizon", "v0", "w0", "v_ref", "w_ref", "poles"]
+PLANT_KEYS = ("mass", "inertia", "friction_v", "friction_w", "gain_force", "gain_torque")
+INPUT_KEYS = ("gain_force", "gain_torque", "mass", "inertia")
+SWEEP_GRID = ["--h-min", "0.05", "--h-max", "0.25", "--steps", "3"]
+
+
+def robot_cfg(values):
+    """configs/robot.cfg with each key's value replaced; a poles value sets
+    the first pole and keeps the second at -5."""
+    text = ROBOT_CFG
+    for key, value in values.items():
+        value = f"{value!r},-5" if key == "poles" else repr(value)
+        text, count = re.subn(rf"^{key}\s*=.*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1
+    return text
 
 
 class TestParseConfig:
@@ -209,6 +235,14 @@ class TestRunCommand:
     def test_unknown_flag(self):
         assert cli.main(["run", "--bogus"]) == EXIT_USAGE
 
+    def test_output_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra="horizon = 1\n")
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(blocker)]) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("I/O error:")
+
     def test_long_horizon(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 120\n")
         out = tmp_path / "out"
@@ -281,6 +315,15 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
+    def test_unbuildable_config_writes_nothing(self, tmp_path, capsys):
+        # both commands build their scenarios before they make the directory
+        cfg = write_config(tmp_path, text=MINIMAL.replace("delay = 0.3", "delay = 0.305"))
+        for command in ("run", "compare"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_USAGE
+            assert "'delay'" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_zero_delay_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path.joinpath(), text=MINIMAL.replace("delay = 0.3", "delay = 0"),
                            extra="horizon = 3\n")
@@ -392,3 +435,75 @@ class TestSweepCommand:
         assert hs == sorted(set(hs))
         for h in hs:
             assert abs(round(h / 0.01) * 0.01 - h) < 1e-12
+
+
+class TestUnbuildableConfig:
+    """Configs whose every value passes parse_config but which the model
+    cannot build end as one usage error naming the keys at fault."""
+
+    @pytest.mark.parametrize("values,key", [
+        ({"poles": -1e-300}, "poles"),  # A + B K not Hurwitz to working precision
+        ({"mass": 1e-300}, "poles"),
+        ({"friction_v": 1e300}, "poles"),
+        ({"inertia": 1e300, "gain_torque": 1e-300}, "poles"),  # B underflows to 0
+        ({"friction_w": 1e308, "inertia": 1e-308}, PLANT_KEYS),  # A overflows
+        ({"gain_force": 1e-300}, INPUT_KEYS),  # B singular to working precision
+        ({"inertia": 3e12}, INPUT_KEYS),
+        ({"w_ref": 1e308}, ("v_ref", "w_ref")),  # A x* overflows
+    ])
+    def test_names_the_keys(self, tmp_path, capsys, values, key):
+        with pytest.raises(ConfigError) as err, np.errstate(over="ignore"):  # as in cli.main
+            build_scenario(parse_config(robot_cfg(values)))
+        assert err.value.key == key
+        keys = (key,) if isinstance(key, str) else key
+        named = "config key" + ("s " if len(keys) > 1 else " ") + "/".join(f"'{k}'" for k in keys) + ":"
+        cfg = tmp_path / "robot.cfg"
+        cfg.write_text(robot_cfg(values))
+        for command in ("run", "compare", "sweep"):
+            argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+            assert cli.main(argv + (SWEEP_GRID if command == "sweep" else [])) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"usage error: {named} ")
+        assert not (tmp_path / "out").exists()
+
+    # examples past this many steps of horizon or delay are skipped: the
+    # too-large-for-memory path has tests of its own
+    STEP_BOUND = 2e4
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(ROBOT_KEYS),
+            st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                      st.sampled_from([-1.0, 1.0]), st.floats(-320.0, 308.0)),
+            min_size=1, max_size=2,
+        ),
+        st.sampled_from(["run", "compare", "sweep"]),
+    )
+    @example({"poles": -1e-300}, "run")
+    @example({"mass": 1e-300}, "compare")
+    @example({"friction_v": 1e300}, "sweep")
+    @example({"inertia": 1e300, "gain_torque": 1e-300}, "run")
+    @example({"friction_w": 1e308, "inertia": 1e-308}, "compare")
+    @example({"gain_force": 1e-300}, "sweep")
+    @example({"inertia": 3e12}, "run")
+    def test_no_traceback(self, values, command):
+        """Any finite value of one or two keys exits 0, 2 or 64, with one
+        line on stderr on 64 and none otherwise."""
+        dt = values.get("dt", 0.01)
+        delay = 0.25 if command == "sweep" else values.get("delay", 0.3)  # sweep's --h-max
+        assume(values.get("horizon", 10.0) / dt <= self.STEP_BOUND and delay / dt <= self.STEP_BOUND)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "robot.cfg"
+            cfg.write_text(robot_cfg(values))
+            argv = [command, "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv + (SWEEP_GRID if command == "sweep" else []))
+        assert code in (EXIT_OK, EXIT_DIVERGED, EXIT_USAGE)
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) == (1 if code == EXIT_USAGE else 0)
+        assert not caught  # a console run would print each warning to stderr

@@ -31,6 +31,8 @@ from delaycomp.smallmat import mat_exp, zoh_discretize
 from conftest import run_oracle, step_plant_exact, step_plant_rk4
 
 ROBOT_PARAMS = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k_d=4.0)
+# two states, one input: Bd is not square
+SINGLE_INPUT = LtiPlant(np.array([[-1.0, 0.5], [0.0, 0.3]]), np.array([[1.0], [0.5]]), 0.2)
 
 
 def robot_scenario(controller, h=0.3, dt=0.01, T=10.0, x0=(0.0, 0.0), ref=(1.0, 0.5)):
@@ -82,6 +84,15 @@ class TestMatchedGain:
         K = design_gain(plant, [-5.0, -5.0]).K
         for dt, tol in ((1e-3, 1e-1), (1e-5, 1e-3)):
             assert np.max(np.abs(matched_gain(plant, K, dt) - K)) < tol
+
+    def test_non_square_input_keeps_design_gain(self):
+        K = np.array([[-2.0, -3.0]])
+        np.testing.assert_array_equal(matched_gain(SINGLE_INPUT, K, 0.01), K)
+
+    def test_singular_input_keeps_design_gain(self):
+        plant = LtiPlant(SINGLE_INPUT.A, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.2)
+        K = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(matched_gain(plant, K, 0.01), K)
 
 
 class TestRun:
@@ -140,6 +151,19 @@ class TestRun:
         origin, _ = run(robot_scenario("predictor-window", x0=(-1.0, -0.5), ref=(0.0, 0.0), T=2.0))
         np.testing.assert_allclose(shifted.states - sp.x_star, origin.states, atol=1e-12)
         np.testing.assert_allclose(shifted.controls - sp.u_star, origin.controls, atol=1e-12)
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_single_input_plant(self, controller):
+        # Bd is 2 x 1, so the loop runs on the design gain K
+        gain = Gain.for_plant(np.array([[-2.0, -3.0]]), SINGLE_INPUT)
+        sc = Scenario(plant=SINGLE_INPUT, gain=gain, setpoint=origin_setpoint(SINGLE_INPUT),
+                      controller=controller, x0=np.array([1.0, -0.5]), dt=0.01, T=5.0)
+        traj, metrics = run(sc)
+        assert len(traj.t) == 501 and traj.status == "completed"
+        if controller.startswith("predictor"):
+            assert metrics.max_prediction_error <= 1e-12
+        else:
+            assert metrics.max_prediction_error is None
 
     def test_delay_must_align_with_dt(self):
         with pytest.raises(ValueError, match="multiple"):

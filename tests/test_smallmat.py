@@ -140,6 +140,13 @@ class TestIsHurwitz:
                     continue  # near-marginal; either verdict is defensible
                 assert is_hurwitz(a) == bool(np.all(eigs.real < 0))
 
+    def test_imaginary_axis_roots_end_on_a_zero_row(self):
+        # companion matrix of s^3 + s^2 + s + 1 = (s + 1)(s^2 + 1): the Routh
+        # array's third row is zero, so the test stops there with "not stable"
+        a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
+        np.testing.assert_array_equal(char_poly(a), [1.0, 1.0, 1.0, 1.0])
+        assert not is_hurwitz(a)
+
     def test_char_poly(self):
         a = np.diag([-1.0, -2.0, -3.0])
         np.testing.assert_allclose(char_poly(a), [1.0, 6.0, 11.0, 6.0], rtol=1e-12)
