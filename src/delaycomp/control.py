@@ -7,13 +7,15 @@ to its exact h-second-ahead forecast
     xhat(t+h) = e^{Ah} x(t) + integral_{t-h}^{t} e^{A(t-theta)} B u(theta) dtheta,
 
 which under zero-order-hold inputs collapses to the finite sum
-xhat(t+h) = Ad^N x + sum_i Ad^{N-1-i} Bd u_i over the last N = h/dt applied
-controls. The sum is the exact forecast, not a quadrature of the distributed
-delay, so the instability of approximated distributed-delay laws does not
-apply. :class:`Predictor` precomputes Ad^N and G = [Ad^{N-1} Bd ... Bd], G by
-doubling, once per (plant, dt) and offers two realizations of the same forecast:
+xhat(t+h) = e^{A N dt} x + sum_i e^{A (N-1-i) dt} Bd u_i over the last
+N = h/dt applied controls. The sum is the exact forecast, not a quadrature of
+the distributed delay, so the instability of approximated distributed-delay
+laws does not apply. :class:`Predictor` precomputes e^{A N dt} and
+G = [e^{A (N-1) dt} Bd ... Bd], every exponential from its own grid time in
+one batched call, once per (plant, dt) and offers two realizations of the same
+forecast:
 
-- window form (default): Ad^N x + G w, where w holds the last N applied
+- window form (default): e^{A N dt} x + G w, where w holds the last N applied
   controls, oldest first; every exponential argument is bounded by h. The
   simulation never forms w on its own: it applies the forecast, folded into
   its control map, to its record of states and held inputs;
@@ -26,7 +28,8 @@ doubling, once per (plant, dt) and offers two realizations of the same forecast:
   validated against it.
 
 :func:`delay_steps` is the one place that turns a delay h into the step count
-N, and rejects a delay that is not an integer multiple of dt.
+N, and rejects a delay that is not an integer multiple of dt. A delay it
+accepts within 1e-9 s of N dt is simulated and forecast as N dt.
 
 Nonzero setpoints are handled by an affine shift: with u* = -B^{-1} A x*, the
 shifted pair (x - x*, u - u*) satisfies the origin-stabilization problem, so
@@ -161,8 +164,8 @@ class Predictor:
     """Exact h-second-ahead state forecast for one plant and sample period.
 
     ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step discretization (or
-    ``step``), ``exp_h`` = Ad^N = e^{Ah} and ``G`` = [Ad^{N-1} Bd ... Bd], so a
-    forecast costs two matrix-vector products. The forecast is linear in
+    ``step``), ``exp_h`` = e^{A N dt} and ``G`` = [e^{A (N-1) dt} Bd ... Bd],
+    so a forecast costs two matrix-vector products. The forecast is linear in
     (x, u), so it applies unchanged to deviations from an equilibrium.
     """
 
@@ -170,16 +173,10 @@ class Predictor:
         self.depth = N = delay_steps(plant.h, dt)
         self.A, self.B, self.dt = plant.A, plant.B, dt
         self.Ad, self.Bd = step or zoh_discretize(plant.A, plant.B, dt)
-        self.exp_h = mat_exp(plant.A, plant.h)
-        # the blocks Ad^j Bd, j < N, by doubling: with the first p known, one
-        # batched product by Ad^p gives the next p
-        blocks = np.empty((N,) + self.Bd.shape)
-        blocks[:1] = self.Bd
-        power, p = self.Ad, 1
-        while p < N:
-            np.matmul(power, blocks[:min(p, N - p)], out=blocks[p:2 * p])
-            power, p = power @ power, 2 * p
-        self.G = blocks[::-1].transpose(1, 0, 2).reshape(plant.n, N * plant.m_in)
+        # e^{A j dt}, j <= N, each from its own time in one batched call
+        exps = mat_exp(plant.A, dt * np.arange(N + 1))
+        self.exp_h = exps[N]
+        self.G = (exps[:N] @ self.Bd)[::-1].transpose(1, 0, 2).reshape(plant.n, N * plant.m_in)
 
     def __call__(self, x: np.ndarray, window: np.ndarray) -> np.ndarray:
         """Window form: forecast from state ``x`` and the C-contiguous

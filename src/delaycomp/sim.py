@@ -336,9 +336,9 @@ def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:
     max_prediction_error = None
     if traj.controller in ("predictor-zform", "predictor-window"):
         n_delay = delay_steps(traj.h, traj.dt)
-        pairs = max(len(traj.states) - n_delay, 0)  # none on a run shorter than h
-        issued, realized = traj.predictions[:pairs], traj.states[n_delay:]
-        max_prediction_error = float(np.max(np.abs(issued - realized), initial=0.0))
+        pairs = len(traj.states) - n_delay
+        if pairs > 0:  # none on a run that ends before h
+            max_prediction_error = float(np.max(np.abs(traj.predictions[:pairs] - traj.states[n_delay:])))
     return Metrics(
         settled=settled,
         settling_time=settling_time,

@@ -98,7 +98,7 @@ def mat_exp(A, t=1.0) -> np.ndarray:
     for k in range(1, _SERIES_ORDER + 1):
         term = term @ M / k
         result = result + term
-    for i in range(int(np.max(squarings))):
+    for i in range(int(np.max(squarings, initial=0))):
         result = np.where(squarings[..., None, None] > i, result @ result, result)
     return result
 
@@ -172,13 +172,11 @@ def _routh_stable(coeffs: np.ndarray) -> bool:
 def is_hurwitz(M) -> bool:
     """True iff every eigenvalue of ``M`` has strictly negative real part.
 
-    Uses trace/determinant signs for n <= 2 and a Routh array on the
-    characteristic polynomial otherwise.
+    Uses trace/determinant signs for n = 2 and a Routh array on the
+    characteristic polynomial otherwise (for n = 1, the test M[0, 0] < 0).
     """
     M = as_matrix(M, "is_hurwitz argument")
     n = M.shape[0]
-    if n == 1:
-        return M[0, 0] < 0.0
     if n == 2:
         return np.trace(M) < 0.0 and float(np.linalg.det(M)) > 0.0
     return _routh_stable(char_poly(M))

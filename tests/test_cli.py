@@ -94,6 +94,7 @@ class TestParseConfig:
         ("horizon = inf\n", "horizon"),
         ("v0 = nan\n", "v0"),
         ("poles = -5,-inf\n", "poles"),
+        ("poles = -5,fast\n", "poles"),
     ])
     def test_errors_name_the_key(self, extra, key):
         with pytest.raises(ConfigError) as err:
@@ -435,6 +436,27 @@ class TestSweepCommand:
         assert hs == sorted(set(hs))
         for h in hs:
             assert abs(round(h / 0.01) * 0.01 - h) < 1e-12
+
+
+class TestNoPredictionPair:
+    def test_error_reported_as_missing(self, tmp_path):
+        # u* - Kd x* overflows, so every run diverges one step in, before a
+        # forecast issued at t = 0 is realized h later: there is no error to
+        # report, and 0 would claim a perfect forecast
+        cfg = tmp_path / "robot.cfg"
+        cfg.write_text(robot_cfg({"v_ref": -1e308}))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg), "--out-dir", str(out)]
+        assert cli.main(["run"] + argv) == EXIT_DIVERGED
+        assert "max_prediction_error = none" in (out / "predictor-window.metrics.txt").read_text().splitlines()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["compare"] + argv) == EXIT_OK
+        predictor = (out / "compare.txt").read_text().splitlines()[-1].split()
+        assert predictor[0] == "predictor-window" and predictor[4] == "-"
+        assert cli.main(["sweep"] + argv + SWEEP_GRID) == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.split(",")[5] == "" for row in rows)
 
 
 class TestUnbuildableConfig:

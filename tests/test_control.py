@@ -202,7 +202,8 @@ class TestPredictState:
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 31, 100, 1000])
     @pytest.mark.parametrize("kind", ["unstable", "non-normal"])
     def test_doubling_matches_sequential_product(self, rng, depth, kind):
-        # G is built by doubling; the reference is one Ad @ block per step
+        # G's blocks are exponentials at grid times; the reference is one
+        # Ad @ block per step
         if kind == "unstable":
             a = random_matrix(rng, 3, 2.0) + 0.5 * np.eye(3)
             b = random_matrix(rng, 3, 1.5)[:, :2]

@@ -169,6 +169,37 @@ class TestRun:
         with pytest.raises(ValueError, match="multiple"):
             robot_scenario("naive", h=0.25, dt=0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("controller", "magic"),
+        ("dt", 0.0),
+        ("divergence_threshold", 0.0),
+        ("e_max", -1.0),
+        ("gain", Gain(np.eye(3))),
+        ("setpoint", Setpoint(np.zeros(3), np.zeros(2))),
+    ])
+    def test_rejects_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(robot_scenario("naive"), **{field: value})
+
+
+class TestOffGridDelay:
+    """A delay within 1e-9 s of N dt is accepted, then simulated and forecast
+    as N dt, so each forecast still matches the state realized N steps on."""
+
+    @pytest.mark.parametrize("controller", ["predictor-window", "predictor-zform"])
+    def test_robot(self, controller):
+        traj, metrics = run(robot_scenario(controller, h=0.3000000009, ref=(10.0, 5.0)))
+        assert traj.status == "completed"
+        assert metrics.max_prediction_error <= 1e-9
+
+    @pytest.mark.parametrize("gap", [-9e-10, 9e-10])
+    def test_unstable_scalar(self, gap):
+        # dx/dt = 3 x + u(t - h): the forecast's e^{3 h} magnifies a gap
+        # between h and N dt
+        traj, metrics = run(scalar_scenario("predictor-window", a=3.0, h=0.3 + gap, T=5.0))
+        assert traj.status == "completed"
+        assert metrics.max_prediction_error <= 1e-9 * (1.0 + np.max(np.abs(traj.states)))
+
 
 class TestLongHorizon:
     """The delay line is indexed by step, so no clock can drift at any horizon."""

@@ -58,6 +58,12 @@ class TestMatExp:
         a = random_matrix(rng, 3, 5.0)
         np.testing.assert_allclose(mat_exp(a, 2.0), scipy.linalg.expm(2.0 * a), rtol=1e-11)
 
+    @pytest.mark.parametrize("a", [np.diag([-1.0, 2.0]), np.array([[0.0, 1.0], [-1.0, 0.0]])])
+    def test_empty_times(self, a):
+        # the diagonal and the general path agree on no times at all
+        out = mat_exp(a, np.array([]))
+        assert out.shape == (0, 2, 2)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             mat_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
@@ -146,6 +152,13 @@ class TestIsHurwitz:
         a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
         np.testing.assert_array_equal(char_poly(a), [1.0, 1.0, 1.0, 1.0])
         assert not is_hurwitz(a)
+
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 1e-320, 2.2e-308, 1.0, 1e308])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_by_one(self, value, sign):
+        # the Routh path decides a 1 x 1 matrix by the sign of its entry;
+        # -0.0 is not stable
+        assert is_hurwitz(np.array([[sign * value]])) == (sign * value < 0.0)
 
     def test_char_poly(self):
         a = np.diag([-1.0, -2.0, -3.0])
