@@ -156,7 +156,7 @@ def build_scenario(config: Config, controller: str | None = None) -> Scenario:
     stage that fails: ``delay`` (its step count), the keys that set A and B
     (an entry not finite), ``poles`` (A + B K not Hurwitz, or K not finite),
     ``v_ref``/``w_ref`` (u* not finite) or, if B is singular, the keys that
-    set B, and ``horizon`` (the z form's bound, or too many steps of dt).
+    set B, and ``horizon`` (too many steps of dt).
     """
     key = "delay"
     try:

@@ -22,10 +22,11 @@ forecast:
 - z form: the literal dynamic-regulator realization through the auxiliary
   running integral z(t) = integral_0^t e^{-A theta} B u(theta) dtheta, with
   xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] and z identically zero on
-  [-h, 0]. The separate e^{At} / e^{-At} factors grow without bound for
-  non-neutral A, so the z form is limited to horizons with
-  ||A||_inf T <= ZFORM_MAX_EXPONENT; it is kept because the window form is
-  validated against it.
+  [-h, 0]. The simulation keeps z relative to the first step t_a of a block
+  of steps, and moves it on to the next block's start with one product, so
+  its factors are e^{+-A (t - t_a)} within one block, never e^{+-At}, and no
+  horizon bound applies. It is kept because the window form is validated
+  against it.
 
 :func:`delay_steps` is the one place that turns a delay h into the step count
 N, and rejects a delay that is not an integer multiple of dt. A delay it
@@ -45,13 +46,6 @@ import numpy as np
 
 from .robot import LtiPlant
 from .smallmat import as_vector, is_diagonal, is_hurwitz, mat_exp, solve, zoh_discretize
-
-# Largest ||A||_inf T a z-form scenario may have. It keeps e^{+-At} below
-# e^600 ~ 4e260, and bounds |z(t)| <= ||B|| max|u - u*| t e^{||A|| t}, so
-# neither overflows while ||B|| max|u - u*| T stays below e^109 ~ 2e47. The
-# float limit itself is log(float max) ~ 709.78.
-ZFORM_MAX_EXPONENT = 600.0
-
 
 class UnsupportedStructureError(ValueError):
     """Plant structure outside what the closed-form design handles."""

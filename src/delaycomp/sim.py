@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .control import ZFORM_MAX_EXPONENT, Gain, Predictor, Setpoint, delay_steps
+from .control import Gain, Predictor, Setpoint, delay_steps
 from .robot import LtiPlant
 from .smallmat import SingularMatrixError, as_vector, mat_exp, solve, zoh_discretize
 
@@ -67,14 +67,6 @@ class Scenario:
             raise ValueError(f"gain shape {self.gain.K.shape} does not match plant ({m}, {n})")
         if self.setpoint.x_star.shape != (n,) or self.setpoint.u_star.shape != (m,):
             raise ValueError(f"setpoint sizes do not match plant (n={n}, m={m})")
-        if self.controller == "predictor-zform":
-            exponent = float(np.linalg.norm(self.plant.A, np.inf)) * self.T
-            if exponent > ZFORM_MAX_EXPONENT:
-                raise ValueError(
-                    f"predictor-zform horizon T={self.T:g} too long: ||A||_inf T = {exponent:g} "
-                    f"exceeds {ZFORM_MAX_EXPONENT:g}, the z form's overflow bound; "
-                    "use predictor-window"
-                )
         x0 = as_vector(self.x0, n, "x0")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
@@ -152,16 +144,20 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
        window form's map is Kd times the forecast over rows k..k+N-1, zero on
        the state slots of rows not yet reached; naive and nodelay apply
        [Kd c] to (x_k, 1). The z form computes its forecast from the running
-       integral z, its exponentials taken per block in one batched call.
+       integral z, kept relative to the first step a of its block of L
+       steps: its factors at (k - a) dt come once per run from one batched
+       call, and at each block start the N + 1 rows still read move on to
+       the new anchor with one product, (z - z_a) e^{A L dt}^T.
     2. plant: the exact ZOH step [Ad 0 Bd] maps row k to row k + 1's state.
 
     The products stay separate: one over a wider slice would multiply zero
     coefficients by past controls, and 0 * inf = NaN once a control has
-    overflowed. Divergence is scanned once per ``_SCAN_BLOCK`` steps, and the
-    run is cut where a per-step test would cut it: at the first state whose
-    inf-norm exceeds the threshold or is not finite, as diverged at that
-    state's time; a non-finite state is not recorded. After the loop, the
-    window form's forecasts are the forecast map over the recorded rows.
+    overflowed. Divergence is scanned once per block (``_SCAN_BLOCK`` steps,
+    L for the z form), and the run is cut where a per-step test would cut
+    it: at the first state whose inf-norm exceeds the threshold or is not
+    finite, as diverged at that state's time; a non-finite state is not
+    recorded. After the loop, the window form's forecasts are the forecast
+    map over the recorded rows.
 
     When u_k acts in the step that computes it (lag = 0: nodelay, or naive
     and predictor-window at h = 0) and is not clipped (no ``e_max``), a step
@@ -216,24 +212,32 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     if fold:
         fdot = (plant_map[:, :n + 1] + Bd @ control_map).dot
     t_arr = np.arange(steps + 1) * dt
+    block = _SCAN_BLOCK
     if zform:
-        exp_h = pred.exp_h
+        # fewer steps when ||A||_inf L dt would pass 1, so no factor passes e
+        rate = float(np.linalg.norm(plant.A, np.inf)) * dt
+        block = _SCAN_BLOCK if rate * _SCAN_BLOCK <= 1 else max(1, int(1 / rate))
+        # factors at times from the block start; the last moves z on
+        exp_t, z_gain = pred.integral_factors(dt * np.arange(block + 1))
+        exp_h, anchor_move = pred.exp_h, exp_t[block].T
         z = np.zeros((N + steps + 2, n))
         predictions = np.empty((steps + 1, n))
-        offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{At} dz
+        offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
 
     status, t_d, recorded = "completed", None, steps + 1
     cut = steps  # the last row a state can end the run at
     # overflow is not an error here: it ends the run as diverged
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, steps + 1, _SCAN_BLOCK):
-            k1 = min(k0 + _SCAN_BLOCK, steps + 1)
+        for k0 in range(0, steps + 1, block):
+            k1 = min(k0 + block, steps + 1)
             if fold:
                 for win, x_next in zip(ctl_in[k0:k1], x_out[k0:k1]):
                     fdot(win, out=x_next)
             else:
                 if zform:
-                    exp_t, z_gain = pred.integral_factors(t_arr[k0:k1])
+                    # re-anchor the rows still read at this block's start
+                    kept = z[k0:N + k0 + 1]
+                    np.matmul(kept - kept[0], anchor_move, out=kept)
                 rows = zip(range(k0, k1), ctl_in[k0:k1], u_out[k0:k1], rec[k0:k1], x_out[k0:k1])
                 for k, win, u, row, x_next in rows:
                     if zform:

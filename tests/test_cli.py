@@ -252,13 +252,17 @@ class TestRunCommand:
         assert len(lines) - 1 == 12001
 
     def test_zform_horizon_too_long(self, tmp_path, capsys):
+        # ||A||_inf T = 800: the z form's factors span one block, not t
         cfg = write_config(tmp_path, extra="horizon = 400\n")
+        out = tmp_path / "out"
         code = cli.main(["run", "--config", str(cfg), "--controller", "predictor-zform",
-                         "--out-dir", str(tmp_path / "out")])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert "'horizon'" in err
+                         "--out-dir", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        lines = (out / "predictor-zform.csv").read_text().splitlines()
+        assert len(lines) - 1 == 40001
+        metrics = (out / "predictor-zform.metrics.txt").read_text()
+        assert float(re.search(r"^max_prediction_error = (.*)$", metrics, re.M)[1]) <= 1e-9
 
     # 1e17 steps: numpy refuses the allocation at once; 1e22 steps are past
     # its dimension limit, which it reports as a ValueError
@@ -501,7 +505,7 @@ class TestUnbuildableConfig:
                       st.sampled_from([-1.0, 1.0]), st.floats(-320.0, 308.0)),
             min_size=1, max_size=2,
         ),
-        st.sampled_from(["run", "compare", "sweep"]),
+        st.sampled_from(["run", "compare", "sweep", "run --controller predictor-zform"]),
     )
     @example({"poles": -1e-300}, "run")
     @example({"mass": 1e-300}, "compare")
@@ -510,6 +514,11 @@ class TestUnbuildableConfig:
     @example({"friction_w": 1e308, "inertia": 1e-308}, "compare")
     @example({"gain_force": 1e-300}, "sweep")
     @example({"inertia": 3e12}, "run")
+    # the z form's block: one step (||A||_inf dt = 100), one step with
+    # e^{-A dt} overflowing, and the full block at A ~ 0
+    @example({"friction_v": 1e4}, "run --controller predictor-zform")
+    @example({"friction_v": 1e6}, "run --controller predictor-zform")
+    @example({"friction_v": 1e-320, "friction_w": 1e-320}, "run --controller predictor-zform")
     def test_no_traceback(self, values, command):
         """Any finite value of one or two keys exits 0, 2 or 64, with one
         line on stderr on 64 and none otherwise."""
@@ -519,7 +528,7 @@ class TestUnbuildableConfig:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "robot.cfg"
             cfg.write_text(robot_cfg(values))
-            argv = [command, "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")]
+            argv = command.split() + ["--config", str(cfg), "--out-dir", str(Path(tmp) / "out")]
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:

@@ -3,11 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delaycomp.control import (
-    ZFORM_MAX_EXPONENT,
     Gain,
     Setpoint,
     design_gain,
@@ -26,7 +25,7 @@ from delaycomp.sim import (
     run,
     sweep_delay,
 )
-from delaycomp.smallmat import mat_exp, zoh_discretize
+from delaycomp.smallmat import mat_exp, solve, zoh_discretize
 
 from conftest import run_oracle, step_plant_exact, step_plant_rk4
 
@@ -214,14 +213,12 @@ class TestLongHorizon:
             assert metrics.max_prediction_error <= 1e-9
 
     def test_zform_horizon_bound(self):
-        # ||A||_inf = 2 on the default robot; only the z form is bounded
-        longest = ZFORM_MAX_EXPONENT / 2.0
-        traj, metrics = run(robot_scenario("predictor-zform", dt=0.1, T=longest))
-        assert traj.status == "completed"
+        # ||A||_inf T = 800 on the robot: e^{+-At} would overflow, but the
+        # z form's factors span one block, so it has no horizon bound
+        window, _ = run(robot_scenario("predictor-window", dt=0.1, T=400.0))
+        traj, metrics = run(robot_scenario("predictor-zform", dt=0.1, T=400.0))
+        assert (traj.status, len(traj.t)) == (window.status, len(window.t)) == ("completed", 4001)
         assert metrics.max_prediction_error <= 1e-9
-        with pytest.raises(ValueError, match="predictor-zform horizon"):
-            robot_scenario("predictor-zform", dt=0.1, T=longest + 0.1)
-        robot_scenario("predictor-window", dt=0.1, T=longest + 0.1)
 
     def test_nonfinite_state_ends_as_diverged(self):
         plant = LtiPlant(np.array([[50.0]]), np.array([[1.0]]), 1.0)
@@ -254,6 +251,47 @@ class TestLongHorizon:
         # a finite control keeps the run going
         traj, _ = run(replace(sc, x0=np.array([1e307])))
         assert (traj.status, len(traj.t)) == ("completed", 101)
+
+
+@st.composite
+def general_plants(draw):
+    """(A, B, K) with n <= 4 states: A = randn * U(0.1, 2), often unstable,
+    B = randn, and K placing A + B K at -diag(U(1, 6))."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n)) * rng.uniform(0.1, 2.0)
+    B = rng.standard_normal((n, n))
+    assume(np.linalg.cond(B) < 1e3)
+    return A, B, solve(B, -np.diag(rng.uniform(1.0, 6.0, n)) - A)
+
+
+class TestForecastForms:
+    """Both forecast forms are exact at any horizon, and the z form ends
+    each run as the window form does."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        plant=general_plants(),
+        dt=st.sampled_from([0.01, 0.05, 0.1]),
+        h=st.floats(0.0, 0.6),
+        T=st.floats(0.1, 60.0),
+    )
+    # a z form integrating from t = 0 errs by 1.8e-2 at T = 10 on the first,
+    # and its e^{+-At} overflow on the others
+    @example(plant=(np.array([[3.0]]), np.array([[1.0]]), np.array([[-8.0]])), dt=0.01, h=0.3, T=10.0)
+    @example(plant=(np.array([[2.0]]), np.array([[1.0]]), np.array([[-4.0]])), dt=0.1, h=0.3, T=400.0)
+    @example(plant=(np.array([[6.0]]), np.array([[1.0]]), np.array([[-8.0]])), dt=0.05, h=0.5, T=200.0)
+    def test_pairs_exact(self, plant, dt, h, T):
+        A, B, K = plant
+        lti = LtiPlant(A, B, round(h / dt) * dt)
+        sc = Scenario(plant=lti, gain=Gain.for_plant(K, lti), setpoint=origin_setpoint(lti),
+                      controller="predictor-window", x0=np.ones(len(A)), dt=dt, T=T)
+        window, _ = run(sc)
+        for controller in ("predictor-window", "predictor-zform"):
+            traj, metrics = run(replace(sc, controller=controller))
+            assert (traj.status, len(traj.t)) == (window.status, len(window.t))
+            if metrics.max_prediction_error is not None:
+                assert metrics.max_prediction_error <= 1e-9 * (1.0 + np.max(np.abs(traj.states)))
 
 
 def assert_matches_oracle(traj, reference):
