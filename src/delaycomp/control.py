@@ -172,11 +172,6 @@ class Predictor:
         self.exp_h = exps[N]
         self.G = (exps[:N] @ self.Bd)[::-1].transpose(1, 0, 2).reshape(plant.n, N * plant.m_in)
 
-    def __call__(self, x: np.ndarray, window: np.ndarray) -> np.ndarray:
-        """Window form: forecast from state ``x`` and the C-contiguous
-        ``(N, m)`` window of held inputs, oldest first."""
-        return self.exp_h @ x + self.G @ window.ravel()
-
     def integral_factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """z-form factors at the sample times ``t``, one batched exponential
         per sign: ``e^{A t_k}``, which maps dz = z(t_k) - z(t_k - h) into the

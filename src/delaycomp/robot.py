@@ -126,11 +126,6 @@ def actuator_forces(p: RobotParams, e_m: float, e_d: float) -> WheelForces:
     return WheelForces(F=F, T=T, F_R=F / 2.0 + half_diff, F_L=F / 2.0 - half_diff)
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    return math.pi - (math.pi - a) % (2.0 * math.pi)
-
-
 def pose_path(velocities, dt: float) -> np.ndarray:
     """Poses (x, y, heading) from the origin under (v, omega) held per step.
 
@@ -147,7 +142,7 @@ def pose_path(velocities, dt: float) -> np.ndarray:
     v, omega = vel[:, 0], vel[:, 1]
     turns = (dt / 6.0 * (omega + 2 * omega + 2 * omega + omega)).tolist()
     out = np.zeros((len(vel) + 1, 3))
-    # wrap_angle's expression, inlined: a call per step costs half as much again
+    # the wrap to (-pi, pi], inlined: a function call per step costs half as much again
     pi, tau = math.pi, 2.0 * math.pi
     out[:, 2] = list(accumulate(turns, lambda psi, d: pi - (pi - (psi + d)) % tau, initial=0.0))
     psi = out[:-1, 2]

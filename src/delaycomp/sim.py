@@ -152,21 +152,21 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
 
     The products stay separate: one over a wider slice would multiply zero
     coefficients by past controls, and 0 * inf = NaN once a control has
-    overflowed. Divergence is scanned once per block (``_SCAN_BLOCK`` steps,
-    L for the z form), and the run is cut where a per-step test would cut
+    overflowed. Divergence is scanned once per block of L steps (at most
+    ``_SCAN_BLOCK``), and the run is cut where a per-step test would cut
     it: at the first state whose inf-norm exceeds the threshold or is not
     finite, as diverged at that state's time; a non-finite state is not
     recorded. After the loop, the window form's forecasts are the forecast
     map over the recorded rows.
 
-    When u_k acts in the step that computes it (lag = 0: nodelay, or naive
-    and predictor-window at h = 0) and is not clipped (no ``e_max``), a step
-    of any form but the z form is one product: the closed loop's affine map
-    [Ad + Bd Kd | Bd c], where Ad + Bd Kd = e^{(A + B K) dt} for the matched
-    gain, takes (x_k, 1) to x_{k+1}, and the controls are filled after the
-    loop. A non-finite u_k makes the two-product x_{k+1} non-finite, so the
-    first one ends the run as diverged at t_{k+1} unless the state cut comes
-    first.
+    When u_k acts at once (lag = 0: nodelay, or naive and predictor-window at
+    h = 0), unclipped (no ``e_max``), a block of any form but the z form is
+    one product: x_{k0+j} = F^j (x_{k0}, 1), j <= L, F the closed loop
+    [Ad + Bd Kd | Bd c] with Ad + Bd Kd = e^{(A + B K) dt}, from a stack of
+    powers built by doubling; L is the stack's finite prefix, at most
+    ``_SCAN_BLOCK``. The controls are filled after the loop; a non-finite
+    u_k makes the two-product x_{k+1} non-finite, so the first one ends the
+    run as diverged at t_{k+1} unless the state cut comes first.
     """
     # sweep_delay hands in the (Ad, Bd, Kd) its runs share
     Ad, Bd, Kd = _shared or _discretize(scenario)
@@ -209,9 +209,6 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     ctl_in = as_strided(rec, (steps + 1, control_map.shape[1]), rec.strides, writeable=False)
     u_out, x_out = rec[lag:, n + 1:], rec[1:, :n]
     cdot, pdot = control_map.dot, plant_map.dot
-    if fold:
-        fdot = (plant_map[:, :n + 1] + Bd @ control_map).dot
-    t_arr = np.arange(steps + 1) * dt
     block = _SCAN_BLOCK
     if zform:
         # fewer steps when ||A||_inf L dt would pass 1, so no factor passes e
@@ -228,11 +225,22 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     cut = steps  # the last row a state can end the run at
     # overflow is not an error here: it ends the run as diverged
     with np.errstate(over="ignore", invalid="ignore"):
+        if fold:
+            # F^1..F^L by doubling, F the closed loop made square by a last
+            # row (0 .. 0 1); L stops before the first power that overflows
+            powers = np.zeros((min(block, steps + 1), n + 1, n + 1))
+            powers[0, :n], powers[0, n, n], done = plant_map[:, :n + 1] + Bd @ control_map, 1.0, 1
+            while done < len(powers):
+                more = min(done, len(powers) - done)
+                np.matmul(powers[:more], powers[done - 1], out=powers[done:done + more])
+                done += more
+            finite = np.isfinite(powers).all(axis=(1, 2))
+            block = len(powers) if finite.all() else max(1, int(np.argmin(finite)))
+            powers = powers[:block, :n].reshape(-1, n + 1)
         for k0 in range(0, steps + 1, block):
             k1 = min(k0 + block, steps + 1)
             if fold:
-                for win, x_next in zip(ctl_in[k0:k1], x_out[k0:k1]):
-                    fdot(win, out=x_next)
+                x_out[k0:k1] = powers[:(k1 - k0) * n].dot(ctl_in[k0]).reshape(-1, n)
             else:
                 if zform:
                     # re-anchor the rows still read at this block's start
@@ -278,7 +286,7 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
             predictions = np.full((recorded, n), np.nan)
 
     traj = Trajectory(
-        t=t_arr[:recorded],
+        t=np.arange(recorded) * dt,
         states=states,
         controls=controls,
         predictions=predictions,

@@ -7,8 +7,8 @@ regulator) reduces to a handful of primitives on small real matrices:
                   truncated power series, with a diagonal fast path,
 - ``zoh_discretize``  exact zero-order-hold discretization via the augmented
                   block exponential (valid for singular A),
-- ``is_hurwitz``  strict stability test through characteristic-polynomial
-                  coefficients and a Routh array (no iterative eigensolver),
+- ``is_hurwitz``  strict stability test: the diagonal's signs if triangular,
+                  else a Routh array on the characteristic polynomial,
 - ``solve``       ``numpy.linalg.solve`` behind an explicit singular-value
                   test.
 
@@ -172,11 +172,13 @@ def _routh_stable(coeffs: np.ndarray) -> bool:
 def is_hurwitz(M) -> bool:
     """True iff every eigenvalue of ``M`` has strictly negative real part.
 
-    Uses trace/determinant signs for n = 2 and a Routh array on the
-    characteristic polynomial otherwise (for n = 1, the test M[0, 0] < 0).
+    Reads the eigenvalues off the diagonal of a triangular M (n = 1 too);
+    otherwise uses trace/determinant signs for n = 2, else a Routh array.
     """
     M = as_matrix(M, "is_hurwitz argument")
     n = M.shape[0]
+    if not (np.tril(M, -1).any() and np.triu(M, 1).any()):
+        return bool(np.all(np.diagonal(M) < 0.0))
     if n == 2:
         return np.trace(M) < 0.0 and float(np.linalg.det(M)) > 0.0
     return _routh_stable(char_poly(M))

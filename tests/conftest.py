@@ -22,6 +22,18 @@ def random_matrix(rng, n, max_norm):
     return a
 
 
+def window_forecast(pred, x, window):
+    """The window-form forecast e^{Ah} x + G w of ``pred`` from state ``x``
+    and the ``(N, m)`` window w of held inputs, oldest first."""
+    return pred.exp_h @ x + pred.G @ np.ravel(window)
+
+
+def wrap_angle(a: float) -> float:
+    """Wrap an angle to (-pi, pi]: one step of the heading wrap that
+    ``robot.pose_path`` applies in sequence."""
+    return math.pi - (math.pi - a) % (2.0 * math.pi)
+
+
 def rk4_zoh_oracle(A, B, x0, holds, dt, substeps=1000):
     """Brute-force propagation of dx/dt = A x + B u over consecutive hold
     intervals of length dt, via classical RK4 at dt/substeps.
@@ -95,7 +107,7 @@ def pose_oracle(velocities, dt):
         x = x + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         y = y + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         psi = psi + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        psi = math.pi - (math.pi - psi) % (2.0 * math.pi)
+        psi = wrap_angle(psi)
         rows.append((x, y, psi))
     return np.array(rows)
 
@@ -132,7 +144,7 @@ def run_oracle(scenario):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             if controller == "predictor-window":
-                xhat = pred(x, history[k:N + k])
+                xhat = window_forecast(pred, x, history[k:N + k])
                 dev = xhat - x_star
             elif controller == "predictor-zform":
                 dev = pred.exp_h @ (x - x_star) + mat_exp(plant.A, t_arr[k]) @ (z[N + k] - z[k])

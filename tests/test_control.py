@@ -19,7 +19,7 @@ from delaycomp.robot import LtiPlant
 from delaycomp.sim import Scenario, matched_gain, run
 from delaycomp.smallmat import SingularMatrixError, mat_exp, zoh_discretize
 
-from conftest import random_matrix, rk4_zoh_oracle
+from conftest import random_matrix, rk4_zoh_oracle, window_forecast
 
 ROBOT = LtiPlant(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0]), 0.3)
 
@@ -156,19 +156,19 @@ class TestDelayLine:
         record = control_record(sc, traj)
         pred = Predictor(plant, dt)
         for k in range(len(traj.t)):
-            np.testing.assert_allclose(pred(traj.states[k], record[k:k + depth]),
+            np.testing.assert_allclose(window_forecast(pred, traj.states[k], record[k:k + depth]),
                                        traj.predictions[k], rtol=1e-14, atol=1e-15)
 
 
 class TestPredictState:
     def test_zero_delay(self):
         plant = scalar_plant(-1.0, 1.0, 0.0)
-        out = Predictor(plant, 0.1)(np.array([1.0]), np.empty((0, 1)))
+        out = window_forecast(Predictor(plant, 0.1), np.array([1.0]), np.empty((0, 1)))
         assert out[0] == 1.0
 
     def test_zero_history_is_homogeneous(self):
         plant = LtiPlant(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0]), 0.3)
-        out = Predictor(plant, 0.05)(np.array([1.0, 1.0]), np.zeros((6, 2)))
+        out = window_forecast(Predictor(plant, 0.05), np.array([1.0, 1.0]), np.zeros((6, 2)))
         expected = mat_exp(plant.A, 0.3) @ np.array([1.0, 1.0])
         np.testing.assert_allclose(out, expected, rtol=1e-13)
 
@@ -176,7 +176,7 @@ class TestPredictState:
         h = math.log(2.0)
         n = 8
         plant = scalar_plant(-1.0, 1.0, h)
-        out = Predictor(plant, h / n)(np.array([1.0]), np.full((n, 1), 2.0))
+        out = window_forecast(Predictor(plant, h / n), np.array([1.0]), np.full((n, 1), 2.0))
         assert out[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_mismatched_history(self):
@@ -195,7 +195,7 @@ class TestPredictState:
             plant = LtiPlant(a, b, depth * dt)
             holds = rng.uniform(-1.0, 1.0, (depth, n))
             x = rng.uniform(-1.0, 1.0, n)
-            predicted = Predictor(plant, dt)(x, holds)
+            predicted = window_forecast(Predictor(plant, dt), x, holds)
             reference = rk4_zoh_oracle(a, b, x, holds, dt, substeps=200)
             np.testing.assert_allclose(predicted, reference, rtol=1e-9, atol=1e-12)
 
@@ -224,7 +224,7 @@ class TestPredictState:
 class TestRegulator:
     def test_fixed_point_at_setpoint(self):
         sp = make_setpoint(ROBOT, [1.0, 0.5])
-        out = Predictor(ROBOT, 0.01)(sp.x_star, np.tile(sp.u_star, (30, 1)))
+        out = window_forecast(Predictor(ROBOT, 0.01), sp.x_star, np.tile(sp.u_star, (30, 1)))
         np.testing.assert_allclose(out, sp.x_star, atol=1e-12)
         traj, _ = run(loop_scenario(ROBOT, "predictor-window", 0.01, 0.5, sp.x_star, ref=sp.x_star))
         np.testing.assert_allclose(traj.controls, np.tile(sp.u_star, (len(traj.t), 1)), atol=1e-12)
@@ -287,7 +287,7 @@ class TestRegulator:
         exp_t, z_gain = pred.integral_factors(np.arange(steps) * dt)
         for k in range(steps):
             x = rng.uniform(-1.0, 1.0, 2)
-            window = pred(x, record[k:depth + k])
+            window = window_forecast(pred, x, record[k:depth + k])
             zform = pred.exp_h @ x + exp_t[k] @ (z[depth + k] - z[k])
             np.testing.assert_allclose(zform, window, rtol=1e-9, atol=1e-12)
             z[depth + k + 1] = z[depth + k] + z_gain[k] @ record[depth + k]

@@ -10,11 +10,10 @@ from delaycomp.robot import (
     actuator_forces,
     params_to_lti,
     pose_path,
-    wrap_angle,
 )
 from delaycomp.smallmat import is_hurwitz
 
-from conftest import pose_oracle
+from conftest import pose_oracle, wrap_angle
 
 DEFAULT = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k_d=4.0)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +252,28 @@ class TestLongHorizon:
         # a finite control keeps the run going
         traj, _ = run(replace(sc, x0=np.array([1e307])))
         assert (traj.status, len(traj.t)) == ("completed", 101)
+
+    @pytest.mark.parametrize("x0,status,samples,t_d", [
+        ((0.0, 0.0), "completed", 301, None),
+        ((1e-300, 0.0), "diverged", 229, 4580.0),
+        ((1.0, 0.0), "diverged", 116, 2320.0),
+    ])
+    def test_fold_power_overflow(self, x0, status, samples, t_d):
+        # B is not square, so the loop keeps the design gain, and at dt = 20
+        # rho(Ad + Bd K) = 457: its 128th power overflows long before the
+        # state does. A power block past the first infinite power would
+        # multiply x0 = 0 by inf and end every run as diverged after 116
+        # samples; the run must end where one closed-loop product per step
+        # ends it, without a warning.
+        plant = LtiPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), 0.0)
+        sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-2.0, -3.0]]), plant),
+                      setpoint=origin_setpoint(plant), controller="nodelay", x0=np.array(x0),
+                      dt=20.0, T=6000.0, divergence_threshold=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, metrics = run(sc)
+        assert (traj.status, len(traj.t), traj.t_d) == (status, samples, t_d)
+        assert metrics.diverged == (status == "diverged")
 
 
 @st.composite

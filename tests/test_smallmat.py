@@ -156,9 +156,22 @@ class TestIsHurwitz:
     @pytest.mark.parametrize("value", [0.0, 5e-324, 1e-320, 2.2e-308, 1.0, 1e308])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_one_by_one(self, value, sign):
-        # the Routh path decides a 1 x 1 matrix by the sign of its entry;
+        # a 1 x 1 matrix is triangular, so the sign of its entry decides;
         # -0.0 is not stable
         assert is_hurwitz(np.array([[sign * value]])) == (sign * value < 0.0)
+
+    @pytest.mark.parametrize("M", [
+        np.diag([-1e6, -1e-6, -1.0]),
+        np.array([[-1e6, 2.0, 3.0], [0.0, -1e-6, 5.0], [0.0, 0.0, -1.0]]),
+    ])
+    def test_triangular_with_spread_diagonal(self, M):
+        # Faddeev-LeVerrier loses the characteristic polynomial's constant
+        # term on these (-0.27 rather than 1 on the diagonal one); the
+        # diagonal holds the eigenvalues
+        assert is_hurwitz(M) and is_hurwitz(M.T)
+        unstable = M.copy()
+        unstable[1, 1] = 1e-6
+        assert not is_hurwitz(unstable) and not is_hurwitz(unstable.T)
 
     def test_char_poly(self):
         a = np.diag([-1.0, -2.0, -3.0])
