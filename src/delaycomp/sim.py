@@ -28,6 +28,10 @@ CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
 
 # Steps between two divergence scans of the recorded states.
 _SCAN_BLOCK = 128
+# A lifted block's map has at most _LIFT_COLS columns and it copies at most
+# _LIFT_BYTES of record windows; a run whose blocks would be shorter than
+# _LIFT_MIN steps is not lifted, as such blocks measured no faster than steps.
+_LIFT_COLS, _LIFT_BYTES, _LIFT_MIN = 256, 1 << 24, 16
 # Bytes of record windows that one product of the forecast fill copies; kept
 # small, as the copy and BLAS's packing of it add to a run's peak memory.
 _FILL_BYTES = 1 << 16
@@ -167,6 +171,13 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     ``_SCAN_BLOCK``. The controls are filled after the loop; a non-finite
     u_k makes the two-product x_{k+1} non-finite, so the first one ends the
     run as diverged at t_{k+1} unless the state cut comes first.
+
+    At lag N >= 1 (naive, predictor-window), unclipped, a block of the z
+    form's L steps is lifted (see ``_LIFT_COLS``): ``_lifted_map`` takes the
+    residuals of the two per-step products to the block's controls and
+    states, from slots still 0 and once more to refine them, which keeps the
+    rounding near the per-step loop's. A block with a non-finite control or
+    a state past the limit is stepped again from k0 one step at a time.
     """
     # sweep_delay hands in the (Ad, Bd, Kd) its runs share
     Ad, Bd, Kd = _shared or _discretize(scenario)
@@ -178,6 +189,7 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     window, zform = controller == "predictor-window", controller == "predictor-zform"
     x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
     fold = lag == 0 and e_max is None and not zform
+    lifted = lag > 0 and e_max is None and not zform
     c = u_star - Kd @ x_star
     # capped so that a threshold of inf still stops on an infinite state
     limit = min(scenario.divergence_threshold, np.finfo(float).max)
@@ -209,11 +221,12 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     ctl_in = as_strided(rec, (steps + 1, control_map.shape[1]), rec.strides, writeable=False)
     u_out, x_out = rec[lag:, n + 1:], rec[1:, :n]
     cdot, pdot = control_map.dot, plant_map.dot
-    block = _SCAN_BLOCK
+    block = _block_length(plant.A, dt) if zform or lifted else _SCAN_BLOCK
+    if lifted:
+        block = min(block, steps + 1, _LIFT_COLS // (m + n), _LIFT_BYTES // (8 * (N + 1) * d))
+        lifted = block >= _LIFT_MIN
+        block = block if lifted else _SCAN_BLOCK
     if zform:
-        # fewer steps when ||A||_inf L dt would pass 1, so no factor passes e
-        rate = float(np.linalg.norm(plant.A, np.inf)) * dt
-        block = _SCAN_BLOCK if rate * _SCAN_BLOCK <= 1 else max(1, int(1 / rate))
         # factors at times from the block start; the last moves z on
         exp_t, z_gain = pred.integral_factors(dt * np.arange(block + 1))
         exp_h, anchor_move = pred.exp_h, exp_t[block].T
@@ -237,11 +250,32 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
             finite = np.isfinite(powers).all(axis=(1, 2))
             block = len(powers) if finite.all() else max(1, int(np.argmin(finite)))
             powers = powers[:block, :n].reshape(-1, n + 1)
+        if lifted:
+            # the residuals of both per-step products over rows k..k+N: the
+            # control map less u_k's slot, the plant map less x_{k+1}'s
+            b, flat = m + n, rec.reshape(-1)
+            wide = as_strided(rec, (steps + 1, (N + 1) * d), rec.strides, writeable=False)
+            own = np.r_[N * d + n + 1:(N + 1) * d, d:d + n]  # u_k's, x_{k+1}'s slots
+            res_map = np.zeros((b, (N + 1) * d))
+            res_map[:m, :control_map.shape[1]], res_map[m:, :d] = control_map, plant_map
+            res_map[np.arange(b), own] = -1.0
+            M, res_map = _lifted_map(res_map.reshape(b, N + 1, d), n, block), res_map.T
+            slots = own + d * np.arange(block)[:, None]
         for k0 in range(0, steps + 1, block):
             k1 = min(k0 + block, steps + 1)
             if fold:
                 x_out[k0:k1] = powers[:(k1 - k0) * n].dot(ctl_in[k0]).reshape(-1, n)
-            else:
+            elif lifted:
+                # the block's slots start at 0: pass 1 solves, pass 2 refines
+                at, size = slots[:k1 - k0].reshape(-1) + k0 * d, (k1 - k0) * b
+                for _ in range(2):
+                    np.add.at(flat, at, M[:size, :size].dot(wide[k0:k1].dot(res_map).reshape(-1)))
+                if np.isfinite(u_out[k0:k1]).all() and np.abs(rec[k0:k1 + 1, :n]).max() <= limit:
+                    continue  # rows k0..k1 pass the scan
+                # else step it again from k0, to end where the per-step loop
+                # would; the forecast map reads state slots past row k: clear
+                x_out[k0:k1] = 0.0
+            if not fold:
                 if zform:
                     # re-anchor the rows still read at this block's start
                     kept = z[k0:N + k0 + 1]
@@ -297,6 +331,48 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
         controller=scenario.controller,
     )
     return traj, compute_metrics(traj, sp, scenario.x0)
+
+
+def _block_length(A: np.ndarray, dt: float) -> int:
+    """Steps per z-form or lifted block: ``_SCAN_BLOCK``, or fewer so that
+    ||A||_inf L dt <= 1, which bounds e^{A j dt}, j <= L, by e."""
+    rate = float(np.linalg.norm(A, np.inf)) * dt
+    return _SCAN_BLOCK if rate * _SCAN_BLOCK <= 1 else max(1, int(1 / rate))
+
+
+def _toeplitz(seq: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The block-Toeplitz matrix with block (i, s) = seq[i - s + cols - 1],
+    copied from a view of the blocks reversed, in which each row is one run."""
+    length, a, b = seq.shape
+    rev = np.ascontiguousarray(seq[::-1].transpose(1, 0, 2))
+    step = rev.strides[1]
+    view = np.ndarray((rows, a, cols * b), rev.dtype, rev, (length - cols) * step,
+                      (-step, rev.strides[0], rev.itemsize))
+    return view.copy().reshape(rows * a, cols * b)
+
+
+def _lifted_map(res_map: np.ndarray, n: int, L: int) -> np.ndarray:
+    """(I - T)^{-1} for L steps of a delayed unclipped loop, in the unknowns
+    y_i = (u_{k0+i}, x_{k0+1+i}) of a block from row k0.
+
+    ``res_map`` gives y_i's residuals from the rows k0+i .. k0+i+N; off y_i's
+    own slots it holds T's blocks tau_e: u_{k0+i-e} is in row N - e's input
+    slot, x_{k0+1+i-e} in row 1 - e's state slot. The map is block Toeplitz;
+    its first block column comes by doubling: with P_K the inverse over K
+    blocks, the next K are P_K T[K:2K, :K] p_{:K}.
+    """
+    b, N = res_map.shape[0], res_map.shape[1] - 1
+    tau = np.zeros((L + N, b, b))  # tau_e at row e
+    tau[N:0:-1, :, :b - n] = res_map[:, :N, n + 1:].transpose(1, 0, 2)
+    tau[1, :, b - n:] = res_map[:, 0, :n]
+    p, K = np.zeros((2 * L - 1, b, b)), 1  # p_l at row L - 1 + l
+    p[L - 1] = np.eye(b)
+    while K < L:
+        k = min(K, L - K)
+        w = _toeplitz(tau[1:K + k], k, K) @ p[L - 1:L - 1 + K].reshape(K * b, b)
+        p[L - 1 + K:L - 1 + K + k] = (_toeplitz(p[L - k:L - 1 + k], k, k) @ w).reshape(k, b, b)
+        K += k
+    return _toeplitz(p, L, L)
 
 
 def _forecast_map(pred: Predictor, d: int) -> np.ndarray:

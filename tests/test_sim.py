@@ -20,6 +20,8 @@ from delaycomp.sim import (
     Metrics,
     Scenario,
     Trajectory,
+    _LIFT_COLS,
+    _block_length,
     _discretize,
     compute_metrics,
     matched_gain,
@@ -346,11 +348,15 @@ class TestReferenceLoop:
         controller=st.sampled_from(CONTROLLERS),
         plant_kind=st.sampled_from(sorted(_PLANTS)),
         dt=st.sampled_from([0.005, 0.01, 0.02]),
-        depth=st.integers(0, 12),
+        depth=st.integers(0, 120),
         steps=st.integers(1, 300),
         e_max=st.sampled_from([None, 0.6, 2.0]),
-        trip=st.sampled_from([None, 0, 127, 128, 129, "last"]),
+        trip=st.sampled_from([None, 0, 127, 128, 129, "L-1", "L", "L+1", "last"]),
     )
+    # delays past the lifted block length L (64 and 50 steps here)
+    @example(controller="predictor-window", plant_kind="coupled", dt=0.005, depth=110, steps=300,
+             e_max=None, trip="L+1")
+    @example(controller="naive", plant_kind="diagonal", dt=0.01, depth=60, steps=200, e_max=None, trip="L")
     def test_matches_reference_loop(self, controller, plant_kind, dt, depth, steps, e_max, trip):
         A, B, K = _PLANTS[plant_kind]
         plant = LtiPlant(A, B, depth * dt)
@@ -359,13 +365,17 @@ class TestReferenceLoop:
                       controller=controller, x0=np.array([0.1, 0.05]), dt=dt, T=steps * dt,
                       e_max=e_max)
         if trip is not None:
-            # a threshold between the norms of rows j - 1 and j, which a
-            # growing run first exceeds at row j; runs may differ in the last
-            # bits, so no row's norm may lie within 1e-9 of it
-            j = steps if trip == "last" else min(trip, steps)
+            # a threshold between the largest norm before row j and row j's,
+            # which the run first exceeds at row j (row j - 1's norm on a
+            # growing run; a long delay can make it overshoot and fall back);
+            # runs may differ in the last bits, so no row's norm may lie
+            # within 1e-9 of it
+            L = min(_block_length(A, dt), _LIFT_COLS // 4)  # n + m = 4
+            j = min({"last": steps, "L-1": L - 1, "L": L, "L+1": L + 1}.get(trip, trip), steps)
             norms = np.max(np.abs(run_oracle(sc)[1]), axis=1)
-            limit = norms[0] / 2.0 if j == 0 else (norms[j - 1] + norms[j]) / 2.0
-            assume(np.all(np.abs(norms - limit) > 1e-9 * limit))
+            below = norms[:j].max(initial=0.0)
+            limit = (below + norms[j]) / 2.0
+            assume(norms[j] > below and np.all(np.abs(norms - limit) > 1e-9 * limit))
             sc = replace(sc, divergence_threshold=limit)
         traj, _ = run(sc)
         assert_matches_oracle(traj, run_oracle(sc))
@@ -383,6 +393,83 @@ class TestReferenceLoop:
                       dt=0.01, T=30.0, divergence_threshold=math.inf)
         traj, _ = run(sc)
         assert traj.status == "diverged"
+        assert_matches_oracle(traj, run_oracle(sc))
+
+    @pytest.mark.parametrize("controller", ["naive", "predictor-window"])
+    @pytest.mark.parametrize("depth", [1, 5, 60])
+    def test_trip_in_second_lifted_block(self, controller, depth):
+        # the threshold first trips half-way into the second lifted block,
+        # which is then stepped again one step at a time from its first row
+        A, B, K = _PLANTS["diagonal"]
+        dt = 0.01
+        L = _block_length(A, dt)
+        plant = LtiPlant(A, B, depth * dt)
+        sc = Scenario(plant=plant, gain=Gain.for_plant(K, plant), setpoint=make_setpoint(plant, [1.0, 0.5]),
+                      controller=controller, x0=np.array([0.1, 0.05]), dt=dt, T=3 * L * dt)
+        j = L + L // 2
+        norms = np.max(np.abs(run_oracle(sc)[1]), axis=1)
+        sc = replace(sc, divergence_threshold=(norms[j - 1] + norms[j]) / 2.0)
+        traj, _ = run(sc)
+        assert_matches_oracle(traj, run_oracle(sc))
+        assert (traj.status, len(traj.t)) == ("diverged", j + 1)
+
+    def test_nonfinite_state_in_lifted_block(self):
+        # naive feedback past its delay margin at dt = 0.05, where a lifted
+        # block has L = 40 steps; the state overflows after about 4200 steps
+        plant = LtiPlant(np.array([[0.5]]), np.array([[1.0]]), 0.25)
+        sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-60.0]]), plant),
+                      setpoint=origin_setpoint(plant), controller="naive", x0=np.array([1.0]),
+                      dt=0.05, T=400.0, divergence_threshold=math.inf)
+        assert _block_length(plant.A, sc.dt) == 40
+        traj, _ = run(sc)
+        assert traj.status == "diverged" and np.all(np.isfinite(traj.states))
+        assert_matches_oracle(traj, run_oracle(sc))
+
+    def test_lifted_control_overflow(self):
+        # from x0 = 1e307 the state stays finite and the controls, -8 x_k,
+        # reach the float limit; the lifted passes of the second and third
+        # blocks (N = 200 > L = 128, so every held input is known) overflow,
+        # and those blocks are stepped again, where naive feedback reads x_k
+        # alone
+        sc = replace(scalar_scenario("naive", h=2.0, T=3.0), x0=np.array([1e307]),
+                     divergence_threshold=math.inf)
+        traj, _ = run(sc)
+        assert (traj.status, len(traj.t)) == ("completed", 301)
+        assert_matches_oracle(traj, run_oracle(sc))
+
+    @pytest.mark.parametrize("depth", [1, 5, 60])
+    def test_window_overflow_in_lifted_block(self, depth):
+        # B is not square, so the loop keeps the design gain, and at dt = 0.05
+        # Ad + Bd K is unstable: the state overflows inside a lifted block of
+        # L = 20 steps. That block is stepped again from its first row, where
+        # the forecast map must not read the block's lifted states; the last
+        # control of the reference loop is inf where run's is NaN, so the
+        # controls are not compared
+        plant = LtiPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), depth * 0.05)
+        sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-1e4, -200.0]]), plant),
+                      setpoint=origin_setpoint(plant), controller="predictor-window",
+                      x0=np.array([1.0, 0.0]), dt=0.05, T=100.0, divergence_threshold=math.inf)
+        assert _block_length(plant.A, sc.dt) == 20
+        traj, _ = run(sc)
+        t, states, _, _, status, t_d = run_oracle(sc)
+        assert (traj.status, len(traj.t), traj.t_d) == (status, len(t), t_d)
+        assert status == "diverged"
+        np.testing.assert_allclose(traj.states, states, rtol=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 5])
+    def test_marginal_loop_in_lifted_blocks(self, depth):
+        # B is not square, so the loop keeps the design gain, and at dt = 0.05
+        # Ad + Bd K has eigenvalues 0.5 and -1: the -1 mode keeps every
+        # rounding error of the 2000 steps. Lifted in blocks of L = 20 steps,
+        # one pass of the block map ends 1e-11 of the run's scale from the
+        # reference loop at depth 5; the refining pass keeps it within the
+        # per-step loop's 2.5e-13
+        plant = LtiPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), depth * 0.05)
+        sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-400.0, -40.0]]), plant),
+                      setpoint=origin_setpoint(plant), controller="predictor-window",
+                      x0=np.array([1.0, 0.0]), dt=0.05, T=100.0, divergence_threshold=math.inf)
+        assert _block_length(plant.A, sc.dt) == 20
+        traj, _ = run(sc)
         assert_matches_oracle(traj, run_oracle(sc))
 
 
