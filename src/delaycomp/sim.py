@@ -163,21 +163,23 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     recorded. After the loop, the window form's forecasts are the forecast
     map over the recorded rows.
 
-    When u_k acts at once (lag = 0: nodelay, or naive and predictor-window at
-    h = 0), unclipped (no ``e_max``), a block of any form but the z form is
-    one product: x_{k0+j} = F^j (x_{k0}, 1), j <= L, F the closed loop
+    Unclipped (no ``e_max``) runs of any form but the z form step whole
+    blocks. When u_k acts at once (lag = 0: nodelay, or naive and
+    predictor-window at h = 0), a block of ``_SCAN_BLOCK`` steps writes its
+    states with one product, x_{k0+j} = F^j (x_{k0}, 1), F the closed loop
     [Ad + Bd Kd | Bd c] with Ad + Bd Kd = e^{(A + B K) dt}, from a stack of
-    powers built by doubling; L is the stack's finite prefix, at most
-    ``_SCAN_BLOCK``. The controls are filled after the loop; a non-finite
-    u_k makes the two-product x_{k+1} non-finite, so the first one ends the
-    run as diverged at t_{k+1} unless the state cut comes first.
+    powers built by doubling, and then its controls with one product of the
+    control map over its rows. At lag N >= 1 (naive, predictor-window), a
+    block of the z form's L steps is lifted (see ``_LIFT_COLS``):
+    ``_lifted_map`` takes the residuals of the two per-step products to the
+    block's controls and states, from slots still 0 and once more to refine
+    them, which keeps the rounding near the per-step loop's.
 
-    At lag N >= 1 (naive, predictor-window), unclipped, a block of the z
-    form's L steps is lifted (see ``_LIFT_COLS``): ``_lifted_map`` takes the
-    residuals of the two per-step products to the block's controls and
-    states, from slots still 0 and once more to refine them, which keeps the
-    rounding near the per-step loop's. A block with a non-finite control or
-    a state past the limit is stepped again from k0 one step at a time.
+    Both kinds of block are checked alike: a block whose controls are all
+    finite and whose states from row k0 to row k1 are within the limit
+    stands; any other (a state past the limit, a power or a control that
+    overflowed) is cleared and stepped again from k0 by the per-step loop,
+    whose scan ends the run.
     """
     # sweep_delay hands in the (Ad, Bd, Kd) its runs share
     Ad, Bd, Kd = _shared or _discretize(scenario)
@@ -235,21 +237,18 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
         offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
 
     status, t_d, recorded = "completed", None, steps + 1
-    cut = steps  # the last row a state can end the run at
     # overflow is not an error here: it ends the run as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         if fold:
             # F^1..F^L by doubling, F the closed loop made square by a last
-            # row (0 .. 0 1); L stops before the first power that overflows
+            # row (0 .. 0 1); a power that overflows fails its block's check
             powers = np.zeros((min(block, steps + 1), n + 1, n + 1))
             powers[0, :n], powers[0, n, n], done = plant_map[:, :n + 1] + Bd @ control_map, 1.0, 1
             while done < len(powers):
                 more = min(done, len(powers) - done)
                 np.matmul(powers[:more], powers[done - 1], out=powers[done:done + more])
                 done += more
-            finite = np.isfinite(powers).all(axis=(1, 2))
-            block = len(powers) if finite.all() else max(1, int(np.argmin(finite)))
-            powers = powers[:block, :n].reshape(-1, n + 1)
+            powers = powers[:, :n].reshape(-1, n + 1)
         if lifted:
             # the residuals of both per-step products over rows k..k+N: the
             # control map less u_k's slot, the plant map less x_{k+1}'s
@@ -265,49 +264,42 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
             k1 = min(k0 + block, steps + 1)
             if fold:
                 x_out[k0:k1] = powers[:(k1 - k0) * n].dot(ctl_in[k0]).reshape(-1, n)
+                np.matmul(ctl_in[k0:k1], control_map.T, out=u_out[k0:k1])
             elif lifted:
                 # the block's slots start at 0: pass 1 solves, pass 2 refines
                 at, size = slots[:k1 - k0].reshape(-1) + k0 * d, (k1 - k0) * b
                 for _ in range(2):
                     np.add.at(flat, at, M[:size, :size].dot(wide[k0:k1].dot(res_map).reshape(-1)))
+            if fold or lifted:
                 if np.isfinite(u_out[k0:k1]).all() and np.abs(rec[k0:k1 + 1, :n]).max() <= limit:
                     continue  # rows k0..k1 pass the scan
                 # else step it again from k0, to end where the per-step loop
                 # would; the forecast map reads state slots past row k: clear
                 x_out[k0:k1] = 0.0
-            if not fold:
+            if zform:
+                # re-anchor the rows still read at this block's start
+                kept = z[k0:N + k0 + 1]
+                np.matmul(kept - kept[0], anchor_move, out=kept)
+            rows = zip(range(k0, k1), ctl_in[k0:k1], u_out[k0:k1], rec[k0:k1], x_out[k0:k1])
+            for k, win, u, row, x_next in rows:
                 if zform:
-                    # re-anchor the rows still read at this block's start
-                    kept = z[k0:N + k0 + 1]
-                    np.matmul(kept - kept[0], anchor_move, out=kept)
-                rows = zip(range(k0, k1), ctl_in[k0:k1], u_out[k0:k1], rec[k0:k1], x_out[k0:k1])
-                for k, win, u, row, x_next in rows:
-                    if zform:
-                        j, z_now = k - k0, z[N + k]
-                        xhat = exp_h.dot(row[:n]) + offset + exp_t[j].dot(z_now - z[k])
-                        predictions[k] = xhat
-                        np.add(c, Kd.dot(xhat), out=u)
-                    else:
-                        cdot(win, out=u)
-                    if e_max is not None:
-                        u.clip(-e_max, e_max, out=u)
-                    if zform:
-                        z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
-                    pdot(row, out=x_next)
+                    j, z_now = k - k0, z[N + k]
+                    xhat = exp_h.dot(row[:n]) + offset + exp_t[j].dot(z_now - z[k])
+                    predictions[k] = xhat
+                    np.add(c, Kd.dot(xhat), out=u)
+                else:
+                    cdot(win, out=u)
+                if e_max is not None:
+                    u.clip(-e_max, e_max, out=u)
+                if zform:
+                    z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
+                pdot(row, out=x_next)
             ok = np.abs(rec[k0:k1, :n]).max(axis=1) <= limit
             if not ok.all():
-                cut = k0 + int(np.argmin(ok))
-                status, t_d = "diverged", cut * dt
-                recorded = cut + 1 if np.all(np.isfinite(rec[cut, :n])) else cut
+                k = k0 + int(np.argmin(ok))
+                status, t_d = "diverged", k * dt
+                recorded = k + 1 if np.all(np.isfinite(rec[k, :n])) else k
                 break
-        if fold:
-            np.matmul(ctl_in[:recorded], control_map.T, out=u_out[:recorded])
-            # a non-finite u_k makes the two-product step's x_{k+1} non-finite,
-            # which ends the run unless the state cut comes first
-            ok = np.isfinite(u_out[:recorded]).all(axis=1)
-            k = int(np.argmin(ok))
-            if not ok[k] and k < cut:
-                status, t_d, recorded = "diverged", (k + 1) * dt, k + 1
         states, controls = rec[:recorded, :n], u_out[:recorded]
         if window:
             # the forecast map is zero on state slots past row k, but 0 * inf

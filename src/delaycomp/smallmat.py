@@ -8,7 +8,7 @@ regulator) reduces to a handful of primitives on small real matrices:
 - ``zoh_discretize``  exact zero-order-hold discretization via the augmented
                   block exponential (valid for singular A),
 - ``is_hurwitz``  strict stability test: the diagonal's signs if triangular,
-                  else a Routh array on the characteristic polynomial,
+                  else the real parts of numpy's eigenvalues,
 - ``solve``       ``numpy.linalg.solve`` behind an explicit singular-value
                   test.
 
@@ -25,9 +25,8 @@ import numpy as np
 MAX_DIM = 8
 
 # Taylor series order for the scaled exponential; with the scaled norm kept
-# below 0.5 the truncation error is ~0.5^14/14! << 1e-15.
+# at most 0.5 the truncation error is ~0.5^14/14! << 1e-15.
 _SERIES_ORDER = 13
-_SCALE_TARGET = 0.5
 
 
 class SingularMatrixError(ValueError):
@@ -88,10 +87,14 @@ def mat_exp(A, t=1.0) -> np.ndarray:
         out.reshape(t.shape + (n * n,))[..., :: n + 1] = np.exp(t[..., None] * np.diagonal(A))
         return out
 
-    M = A * t[..., None, None]
-    norm = np.abs(M).sum(axis=-1).max(axis=-1)  # inf-norm of each argument
-    squarings = np.ceil(np.log2(np.maximum(norm, _SCALE_TARGET) / _SCALE_TARGET))
-    M = M / (2.0**squarings)[..., None, None]
+    # A t = M 2^shift with M = (A 2^-ea) (t 2^-et), so neither A t nor a
+    # power 2^s is formed; s is the least count with ||A t||_inf 2^-s <= 0.5
+    ea = np.frexp(np.abs(A).max())[1]
+    mt, et = np.frexp(t)
+    M, shift = np.ldexp(A, -ea) * mt[..., None, None], ea + et
+    f, e = np.frexp(np.abs(M).sum(axis=-1).max(axis=-1))  # ||A t|| = f 2^(e + shift)
+    squarings = np.where(f > 0, np.maximum(e + shift + (f > 0.5), 0), 0)
+    M = np.ldexp(M, (shift - squarings)[..., None, None])
 
     result = np.eye(n)
     term = np.eye(n)
@@ -127,61 +130,16 @@ def zoh_discretize(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return E[:n, :n].copy(), E[:n, n:].copy()
 
 
-def char_poly(M: np.ndarray) -> np.ndarray:
-    """Monic characteristic-polynomial coefficients by Faddeev-LeVerrier.
-
-    Returns ``c`` of length n+1 with ``det(lambda I - M) = sum c[k] lambda^{n-k}``
-    and ``c[0] = 1``. Deterministic finite recursion; no eigensolver.
-    """
-    n = M.shape[0]
-    c = np.empty(n + 1)
-    c[0] = 1.0
-    I = np.eye(n)
-    Nk = np.zeros((n, n))
-    for k in range(1, n + 1):
-        Nk = M @ (Nk + c[k - 1] * I)
-        c[k] = -np.trace(Nk) / k
-    return c
-
-
-def _routh_stable(coeffs: np.ndarray) -> bool:
-    """Strict Routh-Hurwitz test on monic polynomial coefficients.
-
-    Zero or sign-changed first-column entries (including degenerate zero
-    rows, which signal imaginary-axis roots) count as not stable.
-    """
-    c = list(coeffs)
-    n = len(c) - 1
-    # Necessary condition for a monic Hurwitz polynomial.
-    if any(ck <= 0.0 for ck in c[1:]):
-        return False
-    rows = [c[0::2], c[1::2]]
-    width = len(rows[0])
-    rows[1] = rows[1] + [0.0] * (width - len(rows[1]))
-    for _ in range(n - 1):
-        top, bot = rows[-2], rows[-1]
-        if bot[0] == 0.0:
-            return False
-        new = [0.0] * width
-        for i in range(width - 1):
-            new[i] = (bot[0] * top[i + 1] - top[0] * bot[i + 1]) / bot[0]
-        rows.append(new)
-    return all(r[0] > 0.0 for r in rows)
-
-
 def is_hurwitz(M) -> bool:
     """True iff every eigenvalue of ``M`` has strictly negative real part.
 
     Reads the eigenvalues off the diagonal of a triangular M (n = 1 too);
-    otherwise uses trace/determinant signs for n = 2, else a Routh array.
+    otherwise takes them from numpy's eigensolver.
     """
     M = as_matrix(M, "is_hurwitz argument")
-    n = M.shape[0]
     if not (np.tril(M, -1).any() and np.triu(M, 1).any()):
         return bool(np.all(np.diagonal(M) < 0.0))
-    if n == 2:
-        return np.trace(M) < 0.0 and float(np.linalg.det(M)) > 0.0
-    return _routh_stable(char_poly(M))
+    return bool(np.linalg.eigvals(M).real.max() < 0.0)
 
 
 def solve(M, b) -> np.ndarray:

@@ -519,6 +519,8 @@ class TestUnbuildableConfig:
     @example({"friction_v": 1e4}, "run --controller predictor-zform")
     @example({"friction_v": 1e6}, "run --controller predictor-zform")
     @example({"friction_v": 1e-320, "friction_w": 1e-320}, "run --controller predictor-zform")
+    # ||A dt|| and the exponential's squaring count past the float range
+    @example({"dt": 1e308, "horizon": 1e308}, "sweep")
     def test_no_traceback(self, values, command):
         """Any finite value of one or two keys exits 0, 2 or 64, with one
         line on stderr on 64 and none otherwise."""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from delaycomp.smallmat import (
     SingularMatrixError,
-    char_poly,
     is_hurwitz,
     mat_exp,
     solve,
@@ -57,6 +56,12 @@ class TestMatExp:
         # norm(A t) up to 10 per the accuracy contract
         a = random_matrix(rng, 3, 5.0)
         np.testing.assert_allclose(mat_exp(a, 2.0), scipy.linalg.expm(2.0 * a), rtol=1e-11)
+
+    def test_argument_past_float_range(self):
+        # ||A t|| and the squaring count's power of 2 are past the float
+        # range; the nilpotent A's exponential I + A t is not
+        out = mat_exp(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e308)
+        np.testing.assert_array_equal(out, [[1.0, 1e308], [0.0, 1.0]])
 
     @pytest.mark.parametrize("a", [np.diag([-1.0, 2.0]), np.array([[0.0, 1.0], [-1.0, 0.0]])])
     def test_empty_times(self, a):
@@ -147,10 +152,9 @@ class TestIsHurwitz:
                 assert is_hurwitz(a) == bool(np.all(eigs.real < 0))
 
     def test_imaginary_axis_roots_end_on_a_zero_row(self):
-        # companion matrix of s^3 + s^2 + s + 1 = (s + 1)(s^2 + 1): the Routh
-        # array's third row is zero, so the test stops there with "not stable"
+        # companion matrix of s^3 + s^2 + s + 1 = (s + 1)(s^2 + 1): two
+        # eigenvalues on the imaginary axis, so not stable
         a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
-        np.testing.assert_array_equal(char_poly(a), [1.0, 1.0, 1.0, 1.0])
         assert not is_hurwitz(a)
 
     @pytest.mark.parametrize("value", [0.0, 5e-324, 1e-320, 2.2e-308, 1.0, 1e308])
@@ -165,17 +169,20 @@ class TestIsHurwitz:
         np.array([[-1e6, 2.0, 3.0], [0.0, -1e-6, 5.0], [0.0, 0.0, -1.0]]),
     ])
     def test_triangular_with_spread_diagonal(self, M):
-        # Faddeev-LeVerrier loses the characteristic polynomial's constant
-        # term on these (-0.27 rather than 1 on the diagonal one); the
-        # diagonal holds the eigenvalues
+        # the diagonal holds the eigenvalues, whatever their spread
         assert is_hurwitz(M) and is_hurwitz(M.T)
         unstable = M.copy()
         unstable[1, 1] = 1e-6
         assert not is_hurwitz(unstable) and not is_hurwitz(unstable.T)
 
-    def test_char_poly(self):
-        a = np.diag([-1.0, -2.0, -3.0])
-        np.testing.assert_allclose(char_poly(a), [1.0, 6.0, 11.0, 6.0], rtol=1e-12)
+    @pytest.mark.parametrize("slow", [-1e-6, 1e-6])
+    def test_similar_to_spread_diagonal(self, slow):
+        # a well-conditioned similarity of eigenvalues spread over 1e12, on
+        # which Faddeev-LeVerrier's characteristic polynomial has a constant
+        # term of -2.1 instead of 1
+        P = np.array([[1.0, 0.0, 0.5], [0.5, 1.0, 0.0], [0.0, 0.5, 1.0]])
+        M = P @ np.diag([-1e6, slow, -1.0]) @ np.linalg.inv(P)
+        assert is_hurwitz(M) == (slow < 0)
 
 
 class TestSolve:
