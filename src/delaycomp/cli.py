@@ -15,6 +15,7 @@ import math
 import sys
 from pathlib import Path
 from dataclasses import dataclass, replace
+from functools import cache, reduce
 
 import numpy as np
 
@@ -196,7 +197,7 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
     """One row per sample; row k's x, y, heading is the pose after steps 0..k-1."""
     poses = pose_path(traj.states[:-1], traj.dt)
     table = np.column_stack([traj.t, traj.states, traj.controls, traj.predictions, poses])
-    has_pred = ~np.any(np.isnan(traj.predictions), axis=1)
+    has_pred = ~reduce(np.logical_or, map(np.isnan, traj.predictions.T))  # per column: rows are short
     lines = [CSV_HEADER]
     for row, full in zip(table.tolist(), has_pred.tolist()):
         lines.append(_ROW % tuple(row) if full else _ROW_NO_PRED % tuple(row[:5] + row[7:]))
@@ -293,6 +294,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache  # one tree per process: parsing leaves it unchanged, and _Parser.error raises
 def _build_parser() -> _Parser:
     parser = _Parser(prog="delaycomp", description="Input-delay compensation for a differential-drive robot model")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .control import Gain, Predictor, Setpoint, delay_steps
 from .robot import LtiPlant
@@ -165,21 +165,20 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
 
     Unclipped (no ``e_max``) runs of any form but the z form step whole
     blocks. When u_k acts at once (lag = 0: nodelay, or naive and
-    predictor-window at h = 0), a block of ``_SCAN_BLOCK`` steps writes its
-    states with one product, x_{k0+j} = F^j (x_{k0}, 1), F the closed loop
-    [Ad + Bd Kd | Bd c] with Ad + Bd Kd = e^{(A + B K) dt}, from a stack of
-    powers built by doubling, and then its controls with one product of the
-    control map over its rows. At lag N >= 1 (naive, predictor-window), a
-    block of the z form's L steps is lifted (see ``_LIFT_COLS``):
-    ``_lifted_map`` takes the residuals of the two per-step products to the
-    block's controls and states, from slots still 0 and once more to refine
-    them, which keeps the rounding near the per-step loop's.
+    predictor-window at h = 0), one block spans the run: its states
+    x_{k0+j} = F^j (x_{k0}, 1), F the closed loop [Ad + Bd Kd | Bd c], come
+    by doubling (F^(2^i) maps the first 2^i rows to the next 2^i), its
+    controls by one product of the control map. At lag N >= 1 (naive,
+    predictor-window), a block of the z form's L steps is lifted (see
+    ``_LIFT_COLS``): ``_lifted_map`` takes the residuals of the two per-step
+    products to the block's controls and states, from slots still 0 and once
+    more to refine them, which keeps the rounding near the per-step loop's.
 
     Both kinds of block are checked alike: a block whose controls are all
     finite and whose states from row k0 to row k1 are within the limit
-    stands; any other (a state past the limit, a power or a control that
-    overflowed) is cleared and stepped again from k0 by the per-step loop,
-    whose scan ends the run.
+    stands. Any other is cleared from the ``_SCAN_BLOCK`` window holding its
+    first failing row and stepped again by the per-step loop, whose scan ends
+    the run; the run goes on in blocks of at most ``_SCAN_BLOCK``.
     """
     # sweep_delay hands in the (Ad, Bd, Kd) its runs share
     Ad, Bd, Kd = _shared or _discretize(scenario)
@@ -220,10 +219,10 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     # the loop walks four row views in step; row k of each is the control
     # map's input (the record's next w values from row k on, at most N rows,
     # so within the record), u_k's slot, row k itself and x_{k+1}'s slots
-    ctl_in = as_strided(rec, (steps + 1, control_map.shape[1]), rec.strides, writeable=False)
+    ctl_in = np.ndarray((steps + 1, control_map.shape[1]), float, rec, 0, rec.strides)
     u_out, x_out = rec[lag:, n + 1:], rec[1:, :n]
     cdot, pdot = control_map.dot, plant_map.dot
-    block = _block_length(plant.A, dt) if zform or lifted else _SCAN_BLOCK
+    block = steps + 1 if fold else _block_length(plant.A, dt) if zform or lifted else _SCAN_BLOCK
     if lifted:
         block = min(block, steps + 1, _LIFT_COLS // (m + n), _LIFT_BYTES // (8 * (N + 1) * d))
         lifted = block >= _LIFT_MIN
@@ -236,34 +235,34 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
         predictions = np.empty((steps + 1, n))
         offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
 
-    status, t_d, recorded = "completed", None, steps + 1
+    status, t_d, recorded, k1 = "completed", None, steps + 1, 0
     # overflow is not an error here: it ends the run as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         if fold:
-            # F^1..F^L by doubling, F the closed loop made square by a last
-            # row (0 .. 0 1); a power that overflows fails its block's check
-            powers = np.zeros((min(block, steps + 1), n + 1, n + 1))
-            powers[0, :n], powers[0, n, n], done = plant_map[:, :n + 1] + Bd @ control_map, 1.0, 1
-            while done < len(powers):
-                more = min(done, len(powers) - done)
-                np.matmul(powers[:more], powers[done - 1], out=powers[done:done + more])
-                done += more
-            powers = powers[:, :n].reshape(-1, n + 1)
+            # F^(2^i)'s state rows, transposed, F the closed loop made square by a
+            # last row (0 .. 0 1); a power that overflows fails its block's check
+            Ft, squares = np.hstack([(plant_map[:, :n + 1] + Bd @ control_map).T, np.eye(n + 1, 1, -n)]), []
+            for _ in range(block.bit_length()):
+                squares.append(Ft[:, :n])
+                Ft = Ft.dot(Ft)
         if lifted:
             # the residuals of both per-step products over rows k..k+N: the
             # control map less u_k's slot, the plant map less x_{k+1}'s
             b, flat = m + n, rec.reshape(-1)
-            wide = as_strided(rec, (steps + 1, (N + 1) * d), rec.strides, writeable=False)
+            wide = np.ndarray((steps + 1, (N + 1) * d), float, rec, 0, rec.strides)
             own = np.r_[N * d + n + 1:(N + 1) * d, d:d + n]  # u_k's, x_{k+1}'s slots
             res_map = np.zeros((b, (N + 1) * d))
             res_map[:m, :control_map.shape[1]], res_map[m:, :d] = control_map, plant_map
             res_map[np.arange(b), own] = -1.0
             M, res_map = _lifted_map(res_map.reshape(b, N + 1, d), n, block), res_map.T
             slots = own + d * np.arange(block)[:, None]
-        for k0 in range(0, steps + 1, block):
-            k1 = min(k0 + block, steps + 1)
+        while k1 <= steps:
+            k0, k1 = k1, min(k1 + block, steps + 1)
             if fold:
-                x_out[k0:k1] = powers[:(k1 - k0) * n].dot(ctl_in[k0]).reshape(-1, n)
+                for i in range((k1 - k0).bit_length()):  # rows k0 + 1 .. k1
+                    a = k0 + (1 << i)
+                    more = min(1 << i, k1 + 1 - a)
+                    np.matmul(rec[k0:k0 + more, :n + 1], squares[i], out=rec[a:a + more, :n])
                 np.matmul(ctl_in[k0:k1], control_map.T, out=u_out[k0:k1])
             elif lifted:
                 # the block's slots start at 0: pass 1 solves, pass 2 refines
@@ -271,11 +270,16 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
                 for _ in range(2):
                     np.add.at(flat, at, M[:size, :size].dot(wide[k0:k1].dot(res_map).reshape(-1)))
             if fold or lifted:
-                if np.isfinite(u_out[k0:k1]).all() and np.abs(rec[k0:k1 + 1, :n]).max() <= limit:
+                ok = _peaks(rec[k0:k1 + 1, :n].T) <= limit
+                ok[:-1] &= np.isfinite(_peaks(u_out[k0:k1].T))
+                if ok.all():
                     continue  # rows k0..k1 pass the scan
-                # else step it again from k0, to end where the per-step loop
-                # would; the forecast map reads state slots past row k: clear
-                x_out[k0:k1] = 0.0
+                # else re-step from the _SCAN_BLOCK window holding the first failing row r (r - 1 if r
+                # starts it); blocks stay within _SCAN_BLOCK, as an overflowed power fails longer ones
+                r, block = int(np.argmin(ok)), min(block, _SCAN_BLOCK)
+                k0 += max(0, min(r - 1, r - r % _SCAN_BLOCK))
+                x_out[k0:k1] = 0.0  # the forecast map reads state slots past row k
+                k1 = min(k0 + block, steps + 1)
             if zform:
                 # re-anchor the rows still read at this block's start
                 kept = z[k0:N + k0 + 1]
@@ -294,7 +298,7 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
                 if zform:
                     z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
                 pdot(row, out=x_next)
-            ok = np.abs(rec[k0:k1, :n]).max(axis=1) <= limit
+            ok = _peaks(rec[k0:k1, :n].T) <= limit
             if not ok.all():
                 k = k0 + int(np.argmin(ok))
                 status, t_d = "diverged", k * dt
@@ -390,12 +394,17 @@ def _forecasts(forecast: np.ndarray, windows: np.ndarray, rows: int) -> np.ndarr
     return out
 
 
+def _peaks(columns) -> np.ndarray:
+    """Max |column| by row, NaN where one is NaN: numpy maps or reduces along short rows a row at a time."""
+    return reduce(np.maximum, map(np.abs, columns))
+
+
 def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:
     """Settling (2% band on the inf-norm of the initial offset) and
     prediction-pair accuracy."""
     x0 = as_vector(x0, name="x0")
     diverged = traj.status == "diverged"
-    err = np.linalg.norm(traj.states - setpoint.x_star, np.inf, axis=1)
+    err = _peaks(col - x for col, x in zip(traj.states.T, setpoint.x_star))
     max_excursion = float(np.max(err)) if len(err) else 0.0
 
     offset0 = float(np.linalg.norm(x0 - setpoint.x_star, np.inf))
@@ -418,7 +427,8 @@ def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:
         n_delay = delay_steps(traj.h, traj.dt)
         pairs = len(traj.states) - n_delay
         if pairs > 0:  # none on a run that ends before h
-            max_prediction_error = float(np.max(np.abs(traj.predictions[:pairs] - traj.states[n_delay:])))
+            issued, realized = traj.predictions[:pairs].T, traj.states[n_delay:].T
+            max_prediction_error = float(np.max(_peaks(p - x for p, x in zip(issued, realized))))
     return Metrics(
         settled=settled,
         settling_time=settling_time,

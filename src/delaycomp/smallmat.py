@@ -5,8 +5,8 @@ regulator) reduces to a handful of primitives on small real matrices:
 
 - ``mat_exp``     matrix exponential e^{A t} by scaling-and-squaring on a
                   truncated power series, with a diagonal fast path,
-- ``zoh_discretize``  exact zero-order-hold discretization via the augmented
-                  block exponential (valid for singular A),
+- ``zoh_discretize``  exact zero-order-hold discretization: closed form for a
+                  diagonal A, else the augmented block exponential,
 - ``is_hurwitz``  strict stability test: the diagonal's signs if triangular,
                   else the real parts of numpy's eigenvalues,
 - ``solve``       ``numpy.linalg.solve`` behind an explicit singular-value
@@ -109,10 +109,10 @@ def mat_exp(A, t=1.0) -> np.ndarray:
 def zoh_discretize(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization over one step of length ``dt``.
 
-    Returns ``(Ad, Bd)`` with ``Ad = e^{A dt}`` and
-    ``Bd = (integral_0^dt e^{A s} ds) B``, computed through the exponential of
-    the augmented block matrix ``[[A, B], [0, 0]]`` so that singular ``A`` is
-    handled without special cases.
+    Returns ``(Ad, Bd)``, ``Ad = e^{A dt}`` and ``Bd = (integral_0^dt e^{A s} ds) B``.
+    Diagonal A in closed form: ``Ad = diag(e^{a dt})``, ``Bd = diag(expm1(a dt) / a) B``
+    (dt where a = 0); else from the exponential of the augmented block matrix
+    ``[[A, B], [0, 0]]``, which handles singular ``A`` without special cases.
     """
     A = as_matrix(A, "A")
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -123,6 +123,9 @@ def zoh_discretize(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be > 0, got {dt}")
     n, m = B.shape
+    if is_diagonal(A):
+        a, phi = np.diagonal(A), np.full(n, float(dt))  # phi = expm1(a dt) / a, or dt where a = 0
+        return np.diag(np.exp(a * dt)), np.divide(np.expm1(a * dt), a, out=phi, where=a != 0)[:, None] * B
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = A
     aug[:n, n:] = B

@@ -357,6 +357,11 @@ class TestReferenceLoop:
     @example(controller="predictor-window", plant_kind="coupled", dt=0.005, depth=110, steps=300,
              e_max=None, trip="L+1")
     @example(controller="naive", plant_kind="diagonal", dt=0.01, depth=60, steps=200, e_max=None, trip="L")
+    # an undelayed run steps as one block: trips deep inside it, one at the
+    # start of a _SCAN_BLOCK window (640 = 5 * 128)
+    @example(controller="nodelay", plant_kind="diagonal", dt=0.005, depth=0, steps=1001, e_max=None, trip=300)
+    @example(controller="nodelay", plant_kind="coupled", dt=0.005, depth=30, steps=1200, e_max=None, trip=700)
+    @example(controller="nodelay", plant_kind="coupled", dt=0.005, depth=0, steps=1001, e_max=None, trip=640)
     def test_matches_reference_loop(self, controller, plant_kind, dt, depth, steps, e_max, trip):
         A, B, K = _PLANTS[plant_kind]
         plant = LtiPlant(A, B, depth * dt)
@@ -602,6 +607,36 @@ class TestMetrics:
         sp = Setpoint(np.array([2.0]), np.zeros(1))
         m = compute_metrics(traj, sp, np.array([2.0]))
         assert m.settled and m.settling_time == 0.0 and m.max_excursion == 0.0
+
+    def test_largest_component_switches_columns(self):
+        dt, x_star = 0.1, np.array([1.0, -2.0, 0.5])
+        t = np.arange(7) * dt
+        offsets = np.array([[3.0, 0.0, 1.0], [0.5, 0.1, -2.5], [0.2, -4.0, 0.1], [-0.3, 0.2, 0.01],
+                            [0.01, 0.05, -0.02], [0.0, -0.03, 0.01], [0.01, 0.0, -0.02]])
+        traj = self._trajectory(t, x_star + offsets)
+        m = compute_metrics(traj, Setpoint(x_star, np.zeros(3)), x_star + offsets[0])
+        err = np.linalg.norm(traj.states - x_star, np.inf, axis=1)  # the row-wise formula
+        assert m.max_excursion == err.max() == 4.0
+        # the last offset past 2% of 3 is row 3's 0.3, so it settles at row 4
+        assert m.settled and m.settling_time == t[np.nonzero(err > 0.06)[0][-1] + 1] == t[4]
+
+    def test_nan_forecast_gives_nan_pair_error(self):
+        # a NaN in a late row of the second forecast column; a maximum that
+        # drops NaN (Python's max) would report 0.25
+        dt, depth = 0.1, 2
+        t = np.arange(8) * dt
+        states = np.column_stack([np.exp(-t), 0.5 * np.exp(-2.0 * t)])
+        traj = self._trajectory(t, states, controller="predictor-window", h=depth * dt, dt=dt)
+        traj.predictions = np.vstack([states[depth:], np.zeros((depth, 2))])
+        traj.predictions[0, 0] += 0.25
+        sp = Setpoint(np.zeros(2), np.zeros(2))
+
+        def by_rows():
+            return np.max(np.abs(traj.predictions[:len(t) - depth] - traj.states[depth:]))
+
+        assert compute_metrics(traj, sp, states[0]).max_prediction_error == by_rows() == pytest.approx(0.25)
+        traj.predictions[5, 1] = np.nan
+        assert math.isnan(by_rows()) and math.isnan(compute_metrics(traj, sp, states[0]).max_prediction_error)
 
     def test_diverged(self):
         t = np.arange(0, 1.0, 0.1)

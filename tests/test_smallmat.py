@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -105,6 +106,39 @@ class TestZohDiscretize:
         ad, bd = zoh_discretize(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0]), 0.5)
         np.testing.assert_allclose(np.diagonal(ad), [0.6065306597126334, 0.36787944117144233], rtol=1e-12)
         np.testing.assert_allclose(np.diagonal(bd), [0.7869386805747332, 1.2642411176571153], rtol=1e-12)
+
+    # a zero, a negative and a positive rate; B full and not square (m != n)
+    RATES = (0.0, -1.5, 0.7)
+    FULL_B = np.array([[1.0, -2.0], [0.5, 3.0], [-4.0, 0.25]])
+
+    def test_diagonal_matches_augmented_exponential(self):
+        a, dt = np.diag(self.RATES), 0.01
+        ad, bd = zoh_discretize(a, self.FULL_B, dt)
+        aug = np.zeros((5, 5))
+        aug[:3, :3], aug[:3, 3:] = a, self.FULL_B
+        e = mat_exp(aug, dt)
+        np.testing.assert_array_equal(ad - np.diag(np.diagonal(ad)), 0.0)
+        np.testing.assert_allclose(ad, e[:3, :3], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(bd, e[:3, 3:], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.3, 7.0])
+    def test_diagonal_closed_form_exact(self, dt):
+        # against e^{a dt} and (e^{a dt} - 1) / a in 40-digit decimals, from
+        # the same rounded a dt; the augmented series is no reference here,
+        # as its own rounding reaches 1e-14 relative at dt = 7
+        ad, bd = zoh_discretize(np.diag(self.RATES), self.FULL_B, dt)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exps = [Decimal(r * dt).exp() for r in self.RATES]
+            phis = [Decimal(dt) if r == 0 else (e - 1) / Decimal(r) for r, e in zip(self.RATES, exps)]
+            want = [[float(p * Decimal(b)) for b in row] for p, row in zip(phis, self.FULL_B)]
+        np.testing.assert_allclose(np.diagonal(ad), [float(e) for e in exps], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(bd, want, rtol=1e-15, atol=0.0)
+
+    def test_integrator_input_map_is_exact(self):
+        ad, bd = zoh_discretize(np.zeros((3, 3)), self.FULL_B, 0.1)
+        np.testing.assert_array_equal(ad, np.eye(3))
+        np.testing.assert_array_equal(bd, 0.1 * self.FULL_B)
 
     def test_invertible_consistency(self):
         a = np.diag([-1.0, -2.0])
