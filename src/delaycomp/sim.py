@@ -22,7 +22,7 @@ import numpy as np
 
 from .control import Gain, Predictor, Setpoint, delay_steps
 from .robot import LtiPlant
-from .smallmat import SingularMatrixError, as_vector, mat_exp, solve, zoh_discretize
+from .smallmat import SingularMatrixError, as_vector, is_diagonal, mat_exp, solve, zoh_discretize
 
 CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
 
@@ -115,14 +115,21 @@ def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float, step=None) -> np.nda
     Solves Bd Kd = e^{(A + B K) dt} - Ad, with the plant's (Ad, Bd) at dt
     from ``step`` when given, so the sampled loop reproduces the continuous
     closed loop exactly at sample instants. Returns K unchanged when Bd is
-    not square or is singular.
+    not square or is singular by :func:`solve`'s rule. For diagonal Bd and
+    A + B K, Kd's row i is e^{(A + B K) dt} - Ad's row i over Bd_ii.
     """
     Ad, Bd = step or zoh_discretize(plant.A, plant.B, dt)
     if Bd.shape[0] != Bd.shape[1]:
         return np.asarray(K, dtype=float)
-    target = mat_exp(plant.A + plant.B @ K, dt) - Ad
+    acl = plant.A + plant.B @ K
+    # the nonzero count turns a full Bd away before is_diagonal, which also fails on inf and NaN
+    if np.count_nonzero(Bd) <= len(Bd) and is_diagonal(Bd) and is_diagonal(acl):
+        bd, target = np.diagonal(Bd), np.diag(np.exp(np.diagonal(acl) * dt)) - Ad
+        if np.isfinite(target).all():  # else solve raises, as for any loop
+            singular = np.abs(bd).min() < 1e-12 * (np.abs(bd).max() or 1.0)  # |bd| are Bd's singular values
+            return np.asarray(K, dtype=float) if singular else target / bd[:, None]
     try:
-        return solve(Bd, target)
+        return solve(Bd, mat_exp(acl, dt) - Ad)
     except SingularMatrixError:
         return np.asarray(K, dtype=float)
 
@@ -180,8 +187,6 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     first failing row and stepped again by the per-step loop, whose scan ends
     the run; the run goes on in blocks of at most ``_SCAN_BLOCK``.
     """
-    # sweep_delay hands in the (Ad, Bd, Kd) its runs share
-    Ad, Bd, Kd = _shared or _discretize(scenario)
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
     steps = round(scenario.T / dt)
@@ -191,57 +196,61 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
     fold = lag == 0 and e_max is None and not zform
     lifted = lag > 0 and e_max is None and not zform
-    c = u_star - Kd @ x_star
-    # capped so that a threshold of inf still stops on an infinite state
-    limit = min(scenario.divergence_threshold, np.finfo(float).max)
+    # capped at the largest float so that a threshold of inf still stops on an infinite state
+    limit = min(scenario.divergence_threshold, 1.7976931348623157e308)
 
     d = n + 1 + m
-    # the last control goes to row steps + lag; the plant step after the last
-    # sample writes row steps + 1, which is not recorded
-    try:
-        rec = np.zeros((steps + 1 + max(lag, 1), d))
-    except ValueError as exc:
-        # numpy refuses a shape past its dimension limit (about 9.2e18) with
-        # ValueError, not MemoryError; such a record does not fit either
-        raise MemoryError(str(exc)) from exc
-    rec[:, n] = 1.0
-    rec[:lag, n + 1:] = u_star
-    rec[0, :n] = scenario.x0
-    plant_map = np.hstack([Ad, np.zeros((n, 1)), Bd])
-    if window or zform:
-        pred = Predictor(plant, dt, (Ad, Bd))
-    if window:
-        forecast = _forecast_map(pred, d)
-        control_map = Kd @ forecast
-    else:
-        control_map = np.hstack([Kd, np.zeros((m, 1))])
-    control_map[:, n] = c
-    # the loop walks four row views in step; row k of each is the control
-    # map's input (the record's next w values from row k on, at most N rows,
-    # so within the record), u_k's slot, row k itself and x_{k+1}'s slots
-    ctl_in = np.ndarray((steps + 1, control_map.shape[1]), float, rec, 0, rec.strides)
-    u_out, x_out = rec[lag:, n + 1:], rec[1:, :n]
-    cdot, pdot = control_map.dot, plant_map.dot
-    block = steps + 1 if fold else _block_length(plant.A, dt) if zform or lifted else _SCAN_BLOCK
-    if lifted:
-        block = min(block, steps + 1, _LIFT_COLS // (m + n), _LIFT_BYTES // (8 * (N + 1) * d))
-        lifted = block >= _LIFT_MIN
-        block = block if lifted else _SCAN_BLOCK
-    if zform:
-        # factors at times from the block start; the last moves z on
-        exp_t, z_gain = pred.integral_factors(dt * np.arange(block + 1))
-        exp_h, anchor_move = pred.exp_h, exp_t[block].T
-        z = np.zeros((N + steps + 2, n))
-        predictions = np.empty((steps + 1, n))
-        offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
-
-    status, t_d, recorded, k1 = "completed", None, steps + 1, 0
-    # overflow is not an error here: it ends the run as diverged
+    # overflow is no error: it ends the run as diverged (a dt past the float range gives 0 or inf exponentials)
     with np.errstate(over="ignore", invalid="ignore"):
+        # sweep_delay hands in the (Ad, Bd, Kd) its runs share
+        Ad, Bd, Kd = _shared or _discretize(scenario)
+        c = u_star - Kd @ x_star
+        # the last control goes to row steps + lag; the plant step after the last
+        # sample writes row steps + 1, which is not recorded
+        try:
+            rec = np.zeros((steps + 1 + max(lag, 1), d))
+        except ValueError as exc:
+            # numpy refuses a shape past its dimension limit (about 9.2e18) with
+            # ValueError, not MemoryError; such a record does not fit either
+            raise MemoryError(str(exc)) from exc
+        rec[:, n] = 1.0
+        rec[:lag, n + 1:] = u_star
+        rec[0, :n] = scenario.x0
+        plant_map = np.zeros((n, d))
+        plant_map[:, :n], plant_map[:, n + 1:] = Ad, Bd
+        if window or zform:
+            pred = Predictor(plant, dt, (Ad, Bd))
+        if window:
+            forecast = _forecast_map(pred, d)
+            control_map = Kd @ forecast
+            control_map[:, n] = c
+        else:
+            control_map = np.concatenate((Kd, c[:, None]), axis=1)
+        # the loop walks four row views in step; row k of each is the control
+        # map's input (the record's next w values from row k on, at most N rows,
+        # so within the record), u_k's slot, row k itself and x_{k+1}'s slots
+        ctl_in = np.ndarray((steps + 1, control_map.shape[1]), float, rec, 0, rec.strides)
+        u_out, x_out = rec[lag:, n + 1:], rec[1:, :n]
+        cdot, pdot = control_map.dot, plant_map.dot
+        block = steps + 1 if fold else _block_length(plant.A, dt) if zform or lifted else _SCAN_BLOCK
+        if lifted:
+            block = min(block, steps + 1, _LIFT_COLS // (m + n), _LIFT_BYTES // (8 * (N + 1) * d))
+            lifted = block >= _LIFT_MIN
+            block = block if lifted else _SCAN_BLOCK
+        if zform:
+            # factors at times from the block start; the last moves z on
+            exp_t, z_gain = pred.integral_factors(dt * np.arange(block + 1))
+            exp_h, anchor_move = pred.exp_h, exp_t[block].T
+            z = np.zeros((N + steps + 2, n))
+            predictions = np.empty((steps + 1, n))
+            offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
+
+        status, t_d, recorded, k1 = "completed", None, steps + 1, 0
         if fold:
-            # F^(2^i)'s state rows, transposed, F the closed loop made square by a
-            # last row (0 .. 0 1); a power that overflows fails its block's check
-            Ft, squares = np.hstack([(plant_map[:, :n + 1] + Bd @ control_map).T, np.eye(n + 1, 1, -n)]), []
+            # F^(2^i)'s state rows, transposed (a view of F by rows: the layout sets the squares' rounding),
+            # F the closed loop made square by a last row (0 .. 0 1); an overflowing power fails its block's check
+            Ft, squares = np.zeros((n + 1, n + 1)).T, []
+            Ft[:, :n], Ft[n, n] = (plant_map[:, :n + 1] + Bd @ control_map).T, 1.0
             for _ in range(block.bit_length()):
                 squares.append(Ft[:, :n])
                 Ft = Ft.dot(Ft)
@@ -402,12 +411,12 @@ def _peaks(columns) -> np.ndarray:
 def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:
     """Settling (2% band on the inf-norm of the initial offset) and
     prediction-pair accuracy."""
-    x0 = as_vector(x0, name="x0")
+    x0 = as_vector(x0, len(setpoint.x_star), "x0")
     diverged = traj.status == "diverged"
     err = _peaks(col - x for col, x in zip(traj.states.T, setpoint.x_star))
-    max_excursion = float(np.max(err)) if len(err) else 0.0
+    max_excursion = float(err.max()) if len(err) else 0.0
 
-    offset0 = float(np.linalg.norm(x0 - setpoint.x_star, np.inf))
+    offset0 = float(np.abs(x0 - setpoint.x_star).max())
     if diverged:
         settled, settling_time = False, None
     elif offset0 == 0.0:
@@ -444,7 +453,8 @@ def sweep_delay(base_scenario: Scenario, h_values) -> list[tuple[float, Metrics,
     Each h must be an integer multiple of the scenario's dt. All runs share
     one discretization of the plant and gain. Results keep the input order.
     """
-    shared = _discretize(base_scenario)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run
+        shared = _discretize(base_scenario)
     out = []
     for h in h_values:
         plant = LtiPlant(base_scenario.plant.A, base_scenario.plant.B, float(h))

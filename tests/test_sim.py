@@ -96,6 +96,37 @@ class TestMatchedGain:
         K = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(matched_gain(plant, K, 0.01), K)
 
+    def test_overflowing_diagonal_loop_raises(self):
+        # e^{(A + B K) dt} overflows: the diagonal path leaves the loop to
+        # solve, which rejects the non-finite right-hand side
+        plant = LtiPlant(np.eye(2), np.eye(2), 0.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            matched_gain(plant, np.diag([1000.0, 0.0]), 1.0)
+
+    def test_diagonal_loop_matches_solve(self, rng):
+        # a diagonal Bd and A + B K give Kd entry by entry; it must be the
+        # general solve's answer to rounding, for rates a_i < 0, = 0 and > 0
+        robot = params_to_lti(ROBOT_PARAMS, 0.3)
+        loops = [(robot, design_gain(robot, [-5.0, -5.0]).K, 0.01)]
+        for dt in np.r_[1e-3, 1.0, 10.0 ** rng.uniform(-3.0, 0.0, 38)]:
+            n = int(rng.integers(1, 5))
+            a = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 0.0, 1.0], n)
+            a[:3] = [-1.5, 0.0, 2.0][:n]
+            b = rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n)
+            k = (-rng.uniform(0.5, 6.0, n) - a) / b
+            loops.append((LtiPlant(np.diag(a), np.diag(b), 0.0), np.diag(k), float(dt)))
+        for plant, K, dt in loops:
+            ad, bd = zoh_discretize(plant.A, plant.B, dt)
+            expected = np.linalg.solve(bd, mat_exp(plant.A + plant.B @ K, dt) - ad)
+            assert np.max(np.abs(matched_gain(plant, K, dt) - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_diagonal_singular_input_keeps_design_gain(self):
+        # min |bd| < 1e-12 max |bd|: solve's singular rule holds on the
+        # diagonal path too
+        plant = LtiPlant(-np.eye(2), np.diag([1.0, 1e-14]), 0.0)
+        K = np.diag([-1.0, 0.0])
+        np.testing.assert_array_equal(matched_gain(plant, K, 0.01), K)
+
 
 class TestRun:
     def test_constant_at_setpoint(self):
@@ -254,6 +285,24 @@ class TestLongHorizon:
         # a finite control keeps the run going
         traj, _ = run(replace(sc, x0=np.array([1e307])))
         assert (traj.status, len(traj.t)) == ("completed", 101)
+
+    def test_dt_past_float_range_raises_no_warning(self):
+        # a_i dt = -2e308 overflows to -inf in the set-up: Ad = 0, Bd = -B / a
+        # and Kd = 0, so every form reaches x_1 = 0, all but the z form with
+        # zero controls; none may warn, in run or in sweep_delay
+        plant = LtiPlant(np.diag([-2.0, -1.0]), np.eye(2), 0.0)
+        base = Scenario(plant=plant, gain=Gain.for_plant(-np.eye(2), plant), setpoint=origin_setpoint(plant),
+                        controller="nodelay", x0=np.array([1.0, -1.0]), dt=1e308, T=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = {c: run(replace(base, controller=c))[0] for c in CONTROLLERS}
+            [(_, m_naive, m_pred)] = sweep_delay(base, [0.0])
+        for controller, traj in runs.items():
+            assert (traj.status, len(traj.t)) == ("completed", 2)
+            np.testing.assert_array_equal(traj.states, [[1.0, -1.0], [0.0, 0.0]])
+            if controller != "predictor-zform":  # its NaN control here is the z form's open defect
+                np.testing.assert_array_equal(traj.controls, np.zeros((2, 2)))
+        assert not (m_naive.diverged or m_pred.diverged)
 
     @pytest.mark.parametrize("x0,status,samples,t_d", [
         ((0.0, 0.0), "completed", 301, None),
@@ -637,6 +686,13 @@ class TestMetrics:
         assert compute_metrics(traj, sp, states[0]).max_prediction_error == by_rows() == pytest.approx(0.25)
         traj.predictions[5, 1] = np.nan
         assert math.isnan(by_rows()) and math.isnan(compute_metrics(traj, sp, states[0]).max_prediction_error)
+
+    @pytest.mark.parametrize("x0", [[np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0, 0.0], [0.0]])
+    def test_rejects_bad_initial_state(self, x0):
+        # x0 must be finite and of the state's length
+        traj = self._trajectory([0.0, 1.0], [[1.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(ValueError):
+            compute_metrics(traj, Setpoint(np.zeros(2), np.zeros(2)), np.array(x0))
 
     def test_diverged(self):
         t = np.arange(0, 1.0, 0.1)

@@ -247,6 +247,13 @@ class TestSolve:
         with pytest.raises(SingularMatrixError):
             solve(np.zeros((2, 2)), [1.0, 2.0])
 
+    @pytest.mark.parametrize("m", [[[1.0, 1e13], [0.0, 1.0]], [[1e-13, 0.0], [1.0, 1.0]]])
+    def test_triangular_singular_by_singular_values(self, m):
+        # nonzero pivots, but sigma_min < 1e-12 sigma_max: the test is on
+        # singular values, not on the diagonal of a triangular M
+        with pytest.raises(SingularMatrixError):
+            solve(np.array(m), [1.0, 1.0])
+
     def test_matrix_right_hand_side(self, rng):
         m = random_matrix(rng, 3, 2.0) + np.eye(3)
         b = rng.uniform(-1.0, 1.0, (3, 4))
