@@ -12,21 +12,12 @@ N = h/dt applied controls. The sum is the exact forecast, not a quadrature of
 the distributed delay, so the instability of approximated distributed-delay
 laws does not apply. :class:`Predictor` precomputes e^{A N dt} and
 G = [e^{A (N-1) dt} Bd ... Bd], every exponential from its own grid time in
-one batched call, once per (plant, dt) and offers two realizations of the same
-forecast:
-
-- window form (default): e^{A N dt} x + G w, where w holds the last N applied
-  controls, oldest first; every exponential argument is bounded by h. The
-  simulation never forms w on its own: it applies the forecast, folded into
-  its control map, to its record of states and held inputs;
-- z form: the literal dynamic-regulator realization through the auxiliary
-  running integral z(t) = integral_0^t e^{-A theta} B u(theta) dtheta, with
-  xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] and z identically zero on
-  [-h, 0]. The simulation keeps z relative to the first step t_a of a block
-  of steps, and moves it on to the next block's start with one product, so
-  its factors are e^{+-A (t - t_a)} within one block, never e^{+-At}, and no
-  horizon bound applies. It is kept because the window form is validated
-  against it.
+one batched call, once per (plant, dt), for the window form of the forecast,
+e^{A N dt} x + G w, where w holds the last N applied controls, oldest first:
+every exponential argument is bounded by h. The simulation never forms w on
+its own: it applies the forecast, folded into its control map, to its record
+of states and held inputs. The z form, which the window form is validated
+against, lives in :mod:`delaycomp.sim` beside the loop that keeps its z.
 
 :func:`delay_steps` is the one place that turns a delay h into the step count
 N, and rejects a delay that is not an integer multiple of dt. A delay it
@@ -40,7 +31,6 @@ the inputs held over [-h, 0) are u* and the feedback acts on deviations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -155,33 +145,18 @@ def delay_steps(h: float, dt: float) -> int:
 
 
 class Predictor:
-    """Exact h-second-ahead state forecast for one plant and sample period.
-
-    ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step discretization (or
-    ``step``), ``exp_h`` = e^{A N dt} and ``G`` = [e^{A (N-1) dt} Bd ... Bd],
-    so a forecast costs two matrix-vector products. The forecast is linear in
-    (x, u), so it applies unchanged to deviations from an equilibrium.
+    """Exact h-second-ahead state forecast for one plant and sample period,
+    in the window form: ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step
+    discretization (or ``step``), ``exp_h`` = e^{A N dt} and ``G`` =
+    [e^{A (N-1) dt} Bd ... Bd], so a forecast costs two matrix-vector
+    products. The forecast is linear in (x, u), so it applies unchanged to
+    deviations from an equilibrium. The z form reads ``exp_h`` alone.
     """
 
     def __init__(self, plant: LtiPlant, dt: float, step=None):
         self.depth = N = delay_steps(plant.h, dt)
-        self.A, self.B, self.dt = plant.A, plant.B, dt
         self.Ad, self.Bd = step or zoh_discretize(plant.A, plant.B, dt)
         # e^{A j dt}, j <= N, each from its own time in one batched call
         exps = mat_exp(plant.A, dt * np.arange(N + 1))
         self.exp_h = exps[N]
         self.G = (exps[:N] @ self.Bd)[::-1].transpose(1, 0, 2).reshape(plant.n, N * plant.m_in)
-
-    def integral_factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """z-form factors at the sample times ``t``, one batched exponential
-        per sign: ``e^{A t_k}``, which maps dz = z(t_k) - z(t_k - h) into the
-        forecast e^{Ah} x + e^{A t_k} dz, and
-        ``e^{-A t_k} (integral_0^dt e^{-As} ds) B``, which maps the input
-        held over [t_k, t_k + dt) to z(t_k + dt) - z(t_k). Each factor comes
-        from its own t_k, never from a product of step exponentials."""
-        return mat_exp(self.A, t), mat_exp(self.A, -t) @ self._gamma
-
-    @cached_property
-    def _gamma(self) -> np.ndarray:
-        """integral_0^dt e^{-As} ds B, the z form's per-step input map."""
-        return zoh_discretize(-self.A, self.B, self.dt)[1]

@@ -146,46 +146,26 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
 
     The run lives in one record indexed by step, so no clock can drift. Row r
     holds (x_r, 1, v_r): the state, a constant 1 and the input held over step
-    r, v_r = u_{r-lag} (lag = N, or 0 for nodelay; u* for r < lag). Over row
-    views of the record taken before the loop, a step is two in-place
-    matrix-vector products:
+    r, v_r = u_{r-lag} (lag = N, or 0 for nodelay; u* for r < lag). A step is
+    two affine maps over row views of the record taken before the loop:
 
-    1. control: one affine map (setpoint and gain folded in, c = u* - Kd x*
-       on the constant slot) writes u_k into row k + lag's input slot. The
-       window form's map is Kd times the forecast over rows k..k+N-1, zero on
-       the state slots of rows not yet reached; naive and nodelay apply
-       [Kd c] to (x_k, 1). The z form computes its forecast from the running
-       integral z, kept relative to the first step a of its block of L
-       steps: its factors at (k - a) dt come once per run from one batched
-       call, and at each block start the N + 1 rows still read move on to
-       the new anchor with one product, (z - z_a) e^{A L dt}^T.
+    1. control: one map (setpoint and gain folded in, c = u* - Kd x* on the
+       constant slot) writes u_k into row k + lag's input slot. The window
+       form's map is Kd times the forecast over rows k..k+N-1, zero on the
+       state slots of rows not yet reached; naive and nodelay apply [Kd c] to
+       (x_k, 1). The z form forecasts from a running integral (``_zform``).
     2. plant: the exact ZOH step [Ad 0 Bd] maps row k to row k + 1's state.
 
-    The products stay separate: one over a wider slice would multiply zero
-    coefficients by past controls, and 0 * inf = NaN once a control has
-    overflowed. Divergence is scanned once per block of L steps (at most
-    ``_SCAN_BLOCK``), and the run is cut where a per-step test would cut
-    it: at the first state whose inf-norm exceeds the threshold or is not
-    finite, as diverged at that state's time; a non-finite state is not
-    recorded. After the loop, the window form's forecasts are the forecast
-    map over the recorded rows.
-
-    Unclipped (no ``e_max``) runs of any form but the z form step whole
-    blocks. When u_k acts at once (lag = 0: nodelay, or naive and
-    predictor-window at h = 0), one block spans the run: its states
-    x_{k0+j} = F^j (x_{k0}, 1), F the closed loop [Ad + Bd Kd | Bd c], come
-    by doubling (F^(2^i) maps the first 2^i rows to the next 2^i), its
-    controls by one product of the control map. At lag N >= 1 (naive,
-    predictor-window), a block of the z form's L steps is lifted (see
-    ``_LIFT_COLS``): ``_lifted_map`` takes the residuals of the two per-step
-    products to the block's controls and states, from slots still 0 and once
-    more to refine them, which keeps the rounding near the per-step loop's.
-
-    Both kinds of block are checked alike: a block whose controls are all
-    finite and whose states from row k0 to row k1 are within the limit
-    stands. Any other is cleared from the ``_SCAN_BLOCK`` window holding its
-    first failing row and stepped again by the per-step loop, whose scan ends
-    the run; the run goes on in blocks of at most ``_SCAN_BLOCK``.
+    The rows go in blocks. Each kind of stepping has a helper that builds its
+    maps once per run and returns a stepper: ``_fold`` and ``_lift`` step
+    whole blocks of unclipped runs (at lag 0 and at lag N >= 1), ``_steps``
+    and ``_zform`` one step at a time. A whole block stands if its controls
+    are finite and its states, rows k0 to k1, are within the limit; any other
+    is stepped again by ``_steps``. Rows stepped one at a time are scanned per
+    block, and the run is cut where a per-step test would cut it: at the first
+    state whose inf-norm exceeds the threshold or is not finite, as diverged
+    at that state's time; a non-finite state is not recorded. After the loop,
+    the window form's forecasts are the forecast map over the recorded rows.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
@@ -193,9 +173,6 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     N = delay_steps(plant.h, dt)
     lag = 0 if controller == "nodelay" else N
     window, zform = controller == "predictor-window", controller == "predictor-zform"
-    x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
-    fold = lag == 0 and e_max is None and not zform
-    lifted = lag > 0 and e_max is None and not zform
     # capped at the largest float so that a threshold of inf still stops on an infinite state
     limit = min(scenario.divergence_threshold, 1.7976931348623157e308)
 
@@ -204,7 +181,7 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     with np.errstate(over="ignore", invalid="ignore"):
         # sweep_delay hands in the (Ad, Bd, Kd) its runs share
         Ad, Bd, Kd = _shared or _discretize(scenario)
-        c = u_star - Kd @ x_star
+        c = sp.u_star - Kd @ sp.x_star
         # the last control goes to row steps + lag; the plant step after the last
         # sample writes row steps + 1, which is not recorded
         try:
@@ -214,7 +191,7 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
             # ValueError, not MemoryError; such a record does not fit either
             raise MemoryError(str(exc)) from exc
         rec[:, n] = 1.0
-        rec[:lag, n + 1:] = u_star
+        rec[:lag, n + 1:] = sp.u_star
         rec[0, :n] = scenario.x0
         plant_map = np.zeros((n, d))
         plant_map[:, :n], plant_map[:, n + 1:] = Ad, Bd
@@ -226,59 +203,25 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
             control_map[:, n] = c
         else:
             control_map = np.concatenate((Kd, c[:, None]), axis=1)
-        # the loop walks four row views in step; row k of each is the control
-        # map's input (the record's next w values from row k on, at most N rows,
-        # so within the record), u_k's slot, row k itself and x_{k+1}'s slots
+        # row k of the steppers' views: the control map's input (the record's next w values
+        # from row k on, at most N rows, so within the record), u_k's slot and x_{k+1}'s slots
         ctl_in = np.ndarray((steps + 1, control_map.shape[1]), float, rec, 0, rec.strides)
         u_out, x_out = rec[lag:, n + 1:], rec[1:, :n]
-        cdot, pdot = control_map.dot, plant_map.dot
-        block = steps + 1 if fold else _block_length(plant.A, dt) if zform or lifted else _SCAN_BLOCK
-        if lifted:
-            block = min(block, steps + 1, _LIFT_COLS // (m + n), _LIFT_BYTES // (8 * (N + 1) * d))
-            lifted = block >= _LIFT_MIN
-            block = block if lifted else _SCAN_BLOCK
+        predictions = None if window else np.full((steps + 1, n), np.nan)  # the z form's forecasts
+        block, block_step = _SCAN_BLOCK, None
         if zform:
-            # factors at times from the block start; the last moves z on
-            exp_t, z_gain = pred.integral_factors(dt * np.arange(block + 1))
-            exp_h, anchor_move = pred.exp_h, exp_t[block].T
-            z = np.zeros((N + steps + 2, n))
-            predictions = np.empty((steps + 1, n))
-            offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
+            block, row_step = _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions)
+        else:
+            row_step = _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, scenario.e_max)
+            if scenario.e_max is None:
+                block, block_step = (_fold(rec, ctl_in, u_out, control_map, plant_map, Bd) if lag == 0 else
+                                     _lift(rec, control_map, plant_map, _block_length(plant.A, dt), N))
 
         status, t_d, recorded, k1 = "completed", None, steps + 1, 0
-        if fold:
-            # F^(2^i)'s state rows, transposed (a view of F by rows: the layout sets the squares' rounding),
-            # F the closed loop made square by a last row (0 .. 0 1); an overflowing power fails its block's check
-            Ft, squares = np.zeros((n + 1, n + 1)).T, []
-            Ft[:, :n], Ft[n, n] = (plant_map[:, :n + 1] + Bd @ control_map).T, 1.0
-            for _ in range(block.bit_length()):
-                squares.append(Ft[:, :n])
-                Ft = Ft.dot(Ft)
-        if lifted:
-            # the residuals of both per-step products over rows k..k+N: the
-            # control map less u_k's slot, the plant map less x_{k+1}'s
-            b, flat = m + n, rec.reshape(-1)
-            wide = np.ndarray((steps + 1, (N + 1) * d), float, rec, 0, rec.strides)
-            own = np.r_[N * d + n + 1:(N + 1) * d, d:d + n]  # u_k's, x_{k+1}'s slots
-            res_map = np.zeros((b, (N + 1) * d))
-            res_map[:m, :control_map.shape[1]], res_map[m:, :d] = control_map, plant_map
-            res_map[np.arange(b), own] = -1.0
-            M, res_map = _lifted_map(res_map.reshape(b, N + 1, d), n, block), res_map.T
-            slots = own + d * np.arange(block)[:, None]
         while k1 <= steps:
             k0, k1 = k1, min(k1 + block, steps + 1)
-            if fold:
-                for i in range((k1 - k0).bit_length()):  # rows k0 + 1 .. k1
-                    a = k0 + (1 << i)
-                    more = min(1 << i, k1 + 1 - a)
-                    np.matmul(rec[k0:k0 + more, :n + 1], squares[i], out=rec[a:a + more, :n])
-                np.matmul(ctl_in[k0:k1], control_map.T, out=u_out[k0:k1])
-            elif lifted:
-                # the block's slots start at 0: pass 1 solves, pass 2 refines
-                at, size = slots[:k1 - k0].reshape(-1) + k0 * d, (k1 - k0) * b
-                for _ in range(2):
-                    np.add.at(flat, at, M[:size, :size].dot(wide[k0:k1].dot(res_map).reshape(-1)))
-            if fold or lifted:
+            if block_step:
+                block_step(k0, k1)
                 ok = _peaks(rec[k0:k1 + 1, :n].T) <= limit
                 ok[:-1] &= np.isfinite(_peaks(u_out[k0:k1].T))
                 if ok.all():
@@ -289,24 +232,7 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
                 k0 += max(0, min(r - 1, r - r % _SCAN_BLOCK))
                 x_out[k0:k1] = 0.0  # the forecast map reads state slots past row k
                 k1 = min(k0 + block, steps + 1)
-            if zform:
-                # re-anchor the rows still read at this block's start
-                kept = z[k0:N + k0 + 1]
-                np.matmul(kept - kept[0], anchor_move, out=kept)
-            rows = zip(range(k0, k1), ctl_in[k0:k1], u_out[k0:k1], rec[k0:k1], x_out[k0:k1])
-            for k, win, u, row, x_next in rows:
-                if zform:
-                    j, z_now = k - k0, z[N + k]
-                    xhat = exp_h.dot(row[:n]) + offset + exp_t[j].dot(z_now - z[k])
-                    predictions[k] = xhat
-                    np.add(c, Kd.dot(xhat), out=u)
-                else:
-                    cdot(win, out=u)
-                if e_max is not None:
-                    u.clip(-e_max, e_max, out=u)
-                if zform:
-                    z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
-                pdot(row, out=x_next)
+            row_step(k0, k1)
             ok = _peaks(rec[k0:k1, :n].T) <= limit
             if not ok.all():
                 k = k0 + int(np.argmin(ok))
@@ -319,10 +245,8 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
             # is NaN: clear the rows the run did not record
             rec[recorded:, :n] = 0.0
             predictions = _forecasts(forecast, ctl_in, recorded)
-        elif zform:
-            predictions = predictions[:recorded]
         else:
-            predictions = np.full((recorded, n), np.nan)
+            predictions = predictions[:recorded]
 
     traj = Trajectory(
         t=np.arange(recorded) * dt,
@@ -336,6 +260,131 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
         controller=scenario.controller,
     )
     return traj, compute_metrics(traj, sp, scenario.x0)
+
+
+def _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, e_max):
+    """Stepper of one step at a time: the control map writes u_k, clipped to
+    +-``e_max`` when set, and the ZOH step writes x_{k+1}. The products stay
+    separate: one over a wider slice would multiply zero coefficients by
+    past controls, and 0 * inf = NaN once a control has overflowed."""
+    cdot, pdot = control_map.dot, plant_map.dot
+
+    def step(k0, k1):
+        for win, u, row, x_next in zip(ctl_in[k0:k1], u_out[k0:k1], rec[k0:k1], x_out[k0:k1]):
+            cdot(win, out=u)
+            if e_max is not None:
+                u.clip(-e_max, e_max, out=u)
+            pdot(row, out=x_next)
+    return step
+
+
+def _fold(rec, ctl_in, u_out, control_map, plant_map, Bd):
+    """(run length, stepper) for a lag-0 unclipped run, whose state is x
+    alone. With F the closed loop [Ad + Bd Kd | Bd c], a block's states
+    x_{k0+j} = F^j (x_{k0}, 1) come by doubling (F^(2^i) maps the first 2^i
+    rows to the next 2^i), its controls by one product of the control map."""
+    n, block = len(Bd), len(ctl_in)
+    # F^(2^i)'s state rows, transposed (a view of F by rows: the layout sets the squares' rounding),
+    # F made square by a last row (0 .. 0 1); an overflowing power fails its block's check
+    Ft, squares = np.zeros((n + 1, n + 1)).T, []
+    Ft[:, :n], Ft[n, n] = (plant_map[:, :n + 1] + Bd @ control_map).T, 1.0
+    for _ in range(block.bit_length()):
+        squares.append(Ft[:, :n])
+        Ft = Ft.dot(Ft)
+
+    def step(k0, k1):
+        for i in range((k1 - k0).bit_length()):  # rows k0 + 1 .. k1
+            a = k0 + (1 << i)
+            more = min(1 << i, k1 + 1 - a)
+            np.matmul(rec[k0:k0 + more, :n + 1], squares[i], out=rec[a:a + more, :n])
+        np.matmul(ctl_in[k0:k1], control_map.T, out=u_out[k0:k1])
+    return block, step
+
+
+def _lift(rec, control_map, plant_map, L, N):
+    """(block length, stepper) for a run at lag N >= 1, in blocks of up to L
+    steps within the ``_LIFT_*`` caps, or (``_SCAN_BLOCK``, None). A block
+    solves for its unknowns y_i = (u_{k0+i}, x_{k0+1+i}) together. The
+    residual map takes rows k..k+N to the residuals of the two per-step
+    products (the control map less u_k's slot, the plant map less x_{k+1}'s);
+    off those slots it holds the blocks tau_e of the coupling T (u_{k0+i-e} is
+    in row N - e's input slot, x_{k0+1+i-e} in row 1 - e's state slot).
+    M = (I - T)^{-1} is block Toeplitz; its first block column comes by
+    doubling: with P_K the inverse over K blocks, the next K are
+    P_K T[K:2K, :K] p_{:K}. The stepper adds M times the residuals into the
+    block's slots twice, from slots still 0 and once more to refine them,
+    which keeps the rounding near the per-step loop's."""
+    (n, d), steps = plant_map.shape, len(rec) - 1 - N
+    b = d - 1
+    L = min(L, steps + 1, _LIFT_COLS // b, _LIFT_BYTES // (8 * (N + 1) * d))
+    if L < _LIFT_MIN:
+        return _SCAN_BLOCK, None
+    flat, wide = rec.reshape(-1), np.ndarray((steps + 1, (N + 1) * d), float, rec, 0, rec.strides)
+    own = np.r_[N * d + n + 1:(N + 1) * d, d:d + n]  # u_k's, x_{k+1}'s slots
+    res_map = np.zeros((b, (N + 1) * d))
+    res_map[:b - n, :control_map.shape[1]], res_map[b - n:, :d] = control_map, plant_map
+    res_map[np.arange(b), own] = -1.0
+    by_row = res_map.reshape(b, N + 1, d)
+    tau = np.zeros((L + N, b, b))  # tau_e at row e
+    tau[N:0:-1, :, :b - n] = by_row[:, :N, n + 1:].transpose(1, 0, 2)
+    tau[1, :, b - n:] = by_row[:, 0, :n]
+    p, K = np.zeros((2 * L - 1, b, b)), 1  # p_l at row L - 1 + l
+    p[L - 1] = np.eye(b)
+    while K < L:
+        k = min(K, L - K)
+        w = _toeplitz(tau[1:K + k], k, K) @ p[L - 1:L - 1 + K].reshape(K * b, b)
+        p[L - 1 + K:L - 1 + K + k] = (_toeplitz(p[L - k:L - 1 + k], k, k) @ w).reshape(k, b, b)
+        K += k
+    M, res_map = _toeplitz(p, L, L), res_map.T
+    slots = own + d * np.arange(L)[:, None]
+
+    def step(k0, k1):
+        # the block's slots start at 0: pass 1 solves, pass 2 refines
+        at, size = slots[:k1 - k0].reshape(-1) + k0 * d, (k1 - k0) * b
+        for _ in range(2):
+            np.add.at(flat, at, M[:size, :size].dot(wide[k0:k1].dot(res_map).reshape(-1)))
+    return L, step
+
+
+def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):
+    """(L, stepper) for the z form, the literal dynamic-regulator realization
+    xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] through the running
+    integral z(t) = integral_0^t e^{-As} B (u(s) - u*) ds, zero on [-h, 0]. z is
+    kept relative to the first step a of its block of L (``_block_length``)
+    steps, so its factors are e^{+-A (k - a) dt}, from one batched call per run;
+    at each block start the N + 1 rows still read move on to the new anchor
+    with one product, (z - z_a) e^{A L dt}^T. The stepper writes each row's
+    forecast into ``predictions``."""
+    A, dt, x_star, u_star = scenario.plant.A, scenario.dt, scenario.setpoint.x_star, scenario.setpoint.u_star
+    e_max, N, exp_h, pdot = scenario.e_max, pred.depth, pred.exp_h, plant_map.dot
+    block, n = _block_length(A, dt), len(A)
+    # factors at times from the block start; the last moves z on
+    exp_t, z_gain = _zform_factors(A, scenario.plant.B, dt, dt * np.arange(block + 1))
+    z = np.zeros((N + len(predictions) + 1, n))
+    offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
+
+    def step(k0, k1):
+        kept = z[k0:N + k0 + 1]  # the rows still read, re-anchored at this block's start
+        np.matmul(kept - kept[0], exp_t[block].T, out=kept)
+        for k, u, row, x_next in zip(range(k0, k1), u_out[k0:k1], rec[k0:k1], x_out[k0:k1]):
+            j, z_now = k - k0, z[N + k]
+            xhat = exp_h.dot(row[:n]) + offset + exp_t[j].dot(z_now - z[k])
+            predictions[k] = xhat
+            np.add(c, Kd.dot(xhat), out=u)
+            if e_max is not None:
+                u.clip(-e_max, e_max, out=u)
+            z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
+            pdot(row, out=x_next)
+    return block, step
+
+
+def _zform_factors(A: np.ndarray, B: np.ndarray, dt: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z-form factors at the sample times ``t``, one batched exponential per
+    sign: ``e^{A t_k}``, which maps dz = z(t_k) - z(t_k - h) into the forecast,
+    and ``e^{-A t_k} (integral_0^dt e^{-As} ds) B``, which maps the input held
+    over [t_k, t_k + dt) to z(t_k + dt) - z(t_k). Each factor comes from its
+    own t_k, never from a product of step exponentials."""
+    return mat_exp(A, t), mat_exp(A, -t) @ zoh_discretize(-A, B, dt)[1]
 
 
 def _block_length(A: np.ndarray, dt: float) -> int:
@@ -354,30 +403,6 @@ def _toeplitz(seq: np.ndarray, rows: int, cols: int) -> np.ndarray:
     view = np.ndarray((rows, a, cols * b), rev.dtype, rev, (length - cols) * step,
                       (-step, rev.strides[0], rev.itemsize))
     return view.copy().reshape(rows * a, cols * b)
-
-
-def _lifted_map(res_map: np.ndarray, n: int, L: int) -> np.ndarray:
-    """(I - T)^{-1} for L steps of a delayed unclipped loop, in the unknowns
-    y_i = (u_{k0+i}, x_{k0+1+i}) of a block from row k0.
-
-    ``res_map`` gives y_i's residuals from the rows k0+i .. k0+i+N; off y_i's
-    own slots it holds T's blocks tau_e: u_{k0+i-e} is in row N - e's input
-    slot, x_{k0+1+i-e} in row 1 - e's state slot. The map is block Toeplitz;
-    its first block column comes by doubling: with P_K the inverse over K
-    blocks, the next K are P_K T[K:2K, :K] p_{:K}.
-    """
-    b, N = res_map.shape[0], res_map.shape[1] - 1
-    tau = np.zeros((L + N, b, b))  # tau_e at row e
-    tau[N:0:-1, :, :b - n] = res_map[:, :N, n + 1:].transpose(1, 0, 2)
-    tau[1, :, b - n:] = res_map[:, 0, :n]
-    p, K = np.zeros((2 * L - 1, b, b)), 1  # p_l at row L - 1 + l
-    p[L - 1] = np.eye(b)
-    while K < L:
-        k = min(K, L - K)
-        w = _toeplitz(tau[1:K + k], k, K) @ p[L - 1:L - 1 + K].reshape(K * b, b)
-        p[L - 1 + K:L - 1 + K + k] = (_toeplitz(p[L - k:L - 1 + k], k, k) @ w).reshape(k, b, b)
-        K += k
-    return _toeplitz(p, L, L)
 
 
 def _forecast_map(pred: Predictor, d: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from delaycomp.control import (
     origin_setpoint,
 )
 from delaycomp.robot import LtiPlant
-from delaycomp.sim import Scenario, matched_gain, run
+from delaycomp.sim import Scenario, _zform_factors, matched_gain, run
 from delaycomp.smallmat import SingularMatrixError, mat_exp, zoh_discretize
 
 from conftest import random_matrix, rk4_zoh_oracle, window_forecast
@@ -249,8 +249,8 @@ class TestRegulator:
         assert traj.controls[0, 0] == pytest.approx(2.0 - 0.5 * kd, abs=1e-12)
 
     def test_step_scalar_integral(self):
-        pred = Predictor(scalar_plant(-1.0, 1.0, 0.3), 0.1)
-        exp_t, z_gain = pred.integral_factors(np.array([0.0, 0.1]))
+        plant = scalar_plant(-1.0, 1.0, 0.3)
+        exp_t, z_gain = _zform_factors(plant.A, plant.B, 0.1, np.array([0.0, 0.1]))
         assert z_gain[0] @ np.array([1.0]) == pytest.approx([math.e**0.1 - 1.0], rel=1e-12)
         # dz = e^{-At} dz(0) on a later interval
         later = (z_gain[1] @ np.array([1.0]))[0]
@@ -258,17 +258,16 @@ class TestRegulator:
         np.testing.assert_allclose(exp_t[:, 0, 0], [1.0, math.e**-0.1], rtol=1e-15)
 
     def test_step_zero_input(self):
-        pred = Predictor(scalar_plant(-1.0, 1.0, 0.3), 0.1)
-        _, z_gain = pred.integral_factors(np.array([0.4]))
+        plant = scalar_plant(-1.0, 1.0, 0.3)
+        _, z_gain = _zform_factors(plant.A, plant.B, 0.1, np.array([0.4]))
         assert (z_gain[0] @ np.zeros(1))[0] == 0.0
 
     def test_factors_come_from_each_time(self, rng):
         # one batched call gives, for every t_k, exactly the exponentials
         # computed from t_k on its own
         plant = LtiPlant(np.array([[-1.0, 0.5], [0.0, 0.3]]), np.array([[1.0], [0.5]]), 0.2)
-        pred = Predictor(plant, 0.05)
         t = np.sort(rng.uniform(0.0, 40.0, 50))
-        exp_t, z_gain = pred.integral_factors(t)
+        exp_t, z_gain = _zform_factors(plant.A, plant.B, 0.05, t)
         gamma = zoh_discretize(-plant.A, plant.B, 0.05)[1]
         for k in range(len(t)):
             np.testing.assert_array_equal(exp_t[k], mat_exp(plant.A, t[k]))
@@ -284,7 +283,7 @@ class TestRegulator:
         record = np.zeros((depth + steps, 1))
         record[depth:] = rng.uniform(-1.0, 1.0, (steps, 1))
         z = np.zeros((depth + steps + 1, 2))
-        exp_t, z_gain = pred.integral_factors(np.arange(steps) * dt)
+        exp_t, z_gain = _zform_factors(plant.A, plant.B, dt, np.arange(steps) * dt)
         for k in range(steps):
             x = rng.uniform(-1.0, 1.0, 2)
             window = window_forecast(pred, x, record[k:depth + k])

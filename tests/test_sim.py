@@ -14,6 +14,7 @@ from delaycomp.control import (
     make_setpoint,
     origin_setpoint,
 )
+from delaycomp import sim
 from delaycomp.robot import LtiPlant, params_to_lti, RobotParams
 from delaycomp.sim import (
     CONTROLLERS,
@@ -21,6 +22,7 @@ from delaycomp.sim import (
     Scenario,
     Trajectory,
     _LIFT_COLS,
+    _SCAN_BLOCK,
     _block_length,
     _discretize,
     compute_metrics,
@@ -50,6 +52,18 @@ def scalar_scenario(controller, a=0.0, b=1.0, k=-8.0, h=0.3, dt=0.01, T=10.0):
     gain = Gain.for_plant(np.array([[k]]), plant)
     return Scenario(plant=plant, gain=gain, setpoint=origin_setpoint(plant),
                     controller=controller, x0=np.array([1.0]), dt=dt, T=T)
+
+
+def fold_overflow_scenario(x0, T=6000.0):
+    """A nodelay run whose closed-loop powers overflow before its state.
+
+    B is not square, so the loop keeps the design gain, and at dt = 20
+    rho(Ad + Bd K) = 457: the 128th power of the closed loop overflows long
+    before the state does."""
+    plant = LtiPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), 0.0)
+    return Scenario(plant=plant, gain=Gain.for_plant(np.array([[-2.0, -3.0]]), plant),
+                    setpoint=origin_setpoint(plant), controller="nodelay", x0=np.array(x0),
+                    dt=20.0, T=T, divergence_threshold=math.inf)
 
 
 class TestStepPlant:
@@ -310,21 +324,36 @@ class TestLongHorizon:
         ((1.0, 0.0), "diverged", 116, 2320.0),
     ])
     def test_fold_power_overflow(self, x0, status, samples, t_d):
-        # B is not square, so the loop keeps the design gain, and at dt = 20
-        # rho(Ad + Bd K) = 457: its 128th power overflows long before the
-        # state does. A power block past the first infinite power would
-        # multiply x0 = 0 by inf and end every run as diverged after 116
-        # samples; the run must end where one closed-loop product per step
-        # ends it, without a warning.
-        plant = LtiPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), 0.0)
-        sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-2.0, -3.0]]), plant),
-                      setpoint=origin_setpoint(plant), controller="nodelay", x0=np.array(x0),
-                      dt=20.0, T=6000.0, divergence_threshold=math.inf)
+        # a power block past the first infinite power would multiply x0 = 0
+        # by inf and end every run as diverged after 116 samples; the run
+        # must end where one closed-loop product per step ends it, without a
+        # warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj, metrics = run(sc)
+            traj, metrics = run(fold_overflow_scenario(x0))
         assert (traj.status, len(traj.t), traj.t_d) == (status, samples, t_d)
         assert metrics.diverged == (status == "diverged")
+
+    @pytest.mark.parametrize("T", [6000.0, 60000.0])
+    @pytest.mark.parametrize("x0", [(1e-300, 0.0), (1.0, 0.0)])
+    def test_fold_restep_within_scan_block(self, monkeypatch, x0, T):
+        # a failed fold block is stepped again from the _SCAN_BLOCK window
+        # holding its first failing row, and the blocks after it are no
+        # longer than _SCAN_BLOCK, so a diverging run steps at most
+        # _SCAN_BLOCK rows one at a time
+        rows, steps = [], sim._steps
+
+        def counted(*args):
+            step = steps(*args)
+
+            def counting(k0, k1):
+                rows.append(k1 - k0)
+                step(k0, k1)
+            return counting
+        monkeypatch.setattr(sim, "_steps", counted)
+        traj, _ = run(fold_overflow_scenario(x0, T))
+        assert traj.status == "diverged"
+        assert 0 < sum(rows) <= _SCAN_BLOCK
 
 
 @st.composite
@@ -509,6 +538,21 @@ class TestReferenceLoop:
         assert (traj.status, len(traj.t), traj.t_d) == (status, len(t), t_d)
         assert status == "diverged"
         np.testing.assert_allclose(traj.states, states, rtol=1e-12)
+
+    @pytest.mark.parametrize("controller", ["naive", "predictor-window"])
+    @pytest.mark.parametrize("h,L", [(100.0, 41), (300.0, None)])
+    def test_lift_bytes_cap(self, monkeypatch, controller, h, L):
+        # at N = 10000 a lifted block's record windows are 8 (N + 1) 5 bytes
+        # wide, so _LIFT_BYTES caps the robot's blocks at 41 steps; at
+        # N = 30000 the cap gives 13 < _LIFT_MIN, and the run steps one row at
+        # a time
+        lifts, lift = [], sim._lift
+        monkeypatch.setattr(sim, "_lift", lambda *args: lifts.append(lift(*args)) or lifts[-1])
+        sc = robot_scenario(controller, h=h, T=1.0)
+        traj, _ = run(sc)
+        [(block, step)] = lifts
+        assert (block, step is None) == ((L, False) if L else (_SCAN_BLOCK, True))
+        assert_matches_oracle(traj, run_oracle(sc))
 
     @pytest.mark.parametrize("depth", [1, 5])
     def test_marginal_loop_in_lifted_blocks(self, depth):
@@ -724,6 +768,15 @@ class TestSharedDiscretization:
 
 
 class TestSweep:
+    def test_runs_through_module_run(self, monkeypatch):
+        # perfbench counts a sweep's samples by wrapping the module-level
+        # sim.run, so each scenario of a sweep goes through it
+        calls = []
+        monkeypatch.setattr(sim, "run", lambda sc, **kw: calls.append(sc.controller) or run(sc, **kw))
+        h_values = [0.0, 0.05, 0.15]
+        assert len(sweep_delay(scalar_scenario("naive", h=0.1, T=3.0), h_values)) == len(h_values)
+        assert calls == ["naive", "predictor-window"] * len(h_values)
+
     def test_zero_delay_pair_identical(self):
         base = scalar_scenario("naive", h=0.0, T=3.0)
         [(h, m_naive, m_pred)] = sweep_delay(base, [0.0])
