@@ -22,7 +22,7 @@ import numpy as np
 
 from .control import Gain, Predictor, Setpoint, delay_steps
 from .robot import LtiPlant
-from .smallmat import SingularMatrixError, as_vector, is_diagonal, mat_exp, solve, zoh_discretize
+from .smallmat import SingularMatrixError, as_vector, is_diagonal, mat_exp, solve, zoh_diagonal, zoh_discretize
 
 CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
 
@@ -112,33 +112,44 @@ class Metrics:
 def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float, step=None) -> np.ndarray:
     """Discrete-matched feedback gain for the sampling period ``dt``.
 
-    Solves Bd Kd = e^{(A + B K) dt} - Ad, with the plant's (Ad, Bd) at dt
-    from ``step`` when given, so the sampled loop reproduces the continuous
-    closed loop exactly at sample instants. Returns K unchanged when Bd is
-    not square or is singular by :func:`solve`'s rule. For diagonal Bd and
-    A + B K, Kd's row i is e^{(A + B K) dt} - Ad's row i over Bd_ii.
+    Solves Bd Kd = e^{(A + B K) dt} - Ad, with the plant's (Ad, Bd) at dt from ``step`` when given,
+    so the sampled loop reproduces the continuous closed loop exactly at sample instants. Returns K
+    unchanged when Bd is not square or is singular by :func:`solve`'s rule; for diagonal Bd and
+    A + B K, Kd comes row by row (:func:`_diagonal_gain`).
     """
     Ad, Bd = step or zoh_discretize(plant.A, plant.B, dt)
     if Bd.shape[0] != Bd.shape[1]:
         return np.asarray(K, dtype=float)
     acl = plant.A + plant.B @ K
-    # the nonzero count turns a full Bd away before is_diagonal, which also fails on inf and NaN
-    if np.count_nonzero(Bd) <= len(Bd) and is_diagonal(Bd) and is_diagonal(acl):
-        bd, target = np.diagonal(Bd), np.diag(np.exp(np.diagonal(acl) * dt)) - Ad
-        if np.isfinite(target).all():  # else solve raises, as for any loop
-            singular = np.abs(bd).min() < 1e-12 * (np.abs(bd).max() or 1.0)  # |bd| are Bd's singular values
-            return np.asarray(K, dtype=float) if singular else target / bd[:, None]
+    diagonal = is_diagonal(Bd) and is_diagonal(acl)  # is_diagonal fails on inf and NaN
+    if diagonal and (Kd := _diagonal_gain(K, acl.diagonal(), Ad, Bd, dt)) is not None:
+        return Kd
     try:
         return solve(Bd, mat_exp(acl, dt) - Ad)
     except SingularMatrixError:
         return np.asarray(K, dtype=float)
 
 
+def _diagonal_gain(K, rates, Ad, Bd, dt):
+    """Kd = (e^{(A + B K) dt} - Ad) / bd by rows for Bd = diag(bd), A + B K = diag(rates); K if Bd is
+    singular by solve's rule (|bd| are its singular values); None if a factor is not finite."""
+    bd = Bd.diagonal()
+    target, size = np.diag(np.exp(rates * dt)) - Ad, np.abs(bd).tolist()
+    if all(map(math.isfinite, target.ravel().tolist() + size)):  # else solve rejects the loop
+        return np.asarray(K, dtype=float) if min(size) < 1e-12 * (max(size) or 1.0) else target / bd[:, None]
+    return None
+
+
 def _discretize(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Ad, Bd, Kd) for the scenario's plant, gain and dt, from one ZOH
-    discretization; the delay and controller do not change them."""
-    step = zoh_discretize(scenario.plant.A, scenario.plant.B, scenario.dt)
-    return step + (matched_gain(scenario.plant, scenario.gain.K, scenario.dt, step),)
+    """(Ad, Bd, Kd) for the scenario's plant, gain and dt. A diagonal loop (the robot) goes entry by entry,
+    to the bits of zoh_discretize and matched_gain, which take other loops and non-finite results."""
+    A, B, K, dt = scenario.plant.A, scenario.plant.B, scenario.gain.K, scenario.dt
+    if B.shape == A.shape and is_diagonal(A) and is_diagonal(B) and is_diagonal(K):
+        Ad, Bd = zoh_diagonal(A.diagonal(), B, dt)
+        if (Kd := _diagonal_gain(K, A.diagonal() + B.diagonal() * K.diagonal(), Ad, Bd, dt)) is not None:
+            return Ad, Bd, Kd
+    step = zoh_discretize(A, B, dt)
+    return step + (matched_gain(scenario.plant, K, dt, step),)
 
 
 def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
@@ -226,12 +237,13 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
                 ok[:-1] &= np.isfinite(_peaks(u_out[k0:k1].T))
                 if ok.all():
                     continue  # rows k0..k1 pass the scan
-                # else re-step from the _SCAN_BLOCK window holding the first failing row r (r - 1 if r
-                # starts it); blocks stay within _SCAN_BLOCK, as an overflowed power fails longer ones
+                # else re-step from the _SCAN_BLOCK window holding the first failing row r (r - 1 if r starts
+                # it); later blocks span the r - 1 steps that passed (on finite powers of F), or are steps
                 r, block = int(np.argmin(ok)), min(block, _SCAN_BLOCK)
                 k0 += max(0, min(r - 1, r - r % _SCAN_BLOCK))
                 x_out[k0:k1] = 0.0  # the forecast map reads state slots past row k
                 k1 = min(k0 + block, steps + 1)
+                block, block_step = (min(block, r - 1), block_step) if r > _LIFT_MIN else (block, None)
             row_step(k0, k1)
             ok = _peaks(rec[k0:k1, :n].T) <= limit
             if not ok.all():
@@ -259,7 +271,7 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
         h=plant.h,
         controller=scenario.controller,
     )
-    return traj, compute_metrics(traj, sp, scenario.x0)
+    return traj, _metrics(traj, sp, scenario.x0)
 
 
 def _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, e_max):
@@ -286,11 +298,11 @@ def _fold(rec, ctl_in, u_out, control_map, plant_map, Bd):
     n, block = len(Bd), len(ctl_in)
     # F^(2^i)'s state rows, transposed (a view of F by rows: the layout sets the squares' rounding),
     # F made square by a last row (0 .. 0 1); an overflowing power fails its block's check
-    Ft, squares = np.zeros((n + 1, n + 1)).T, []
+    Ft = np.zeros((n + 1, n + 1)).T
     Ft[:, :n], Ft[n, n] = (plant_map[:, :n + 1] + Bd @ control_map).T, 1.0
-    for _ in range(block.bit_length()):
-        squares.append(Ft[:, :n])
-        Ft = Ft.dot(Ft)
+    squares = [Ft[:, :n]]
+    for _ in range(block.bit_length() - 1):
+        squares.append((Ft := Ft.dot(Ft))[:, :n])
 
     def step(k0, k1):
         for i in range((k1 - k0).bit_length()):  # rows k0 + 1 .. k1
@@ -434,14 +446,17 @@ def _peaks(columns) -> np.ndarray:
 
 
 def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:
-    """Settling (2% band on the inf-norm of the initial offset) and
-    prediction-pair accuracy."""
-    x0 = as_vector(x0, len(setpoint.x_star), "x0")
+    """Settling (2% band on the inf-norm of the initial offset) and prediction-pair accuracy."""
+    return _metrics(traj, setpoint, as_vector(x0, len(setpoint.x_star), "x0"))
+
+
+def _metrics(traj: Trajectory, setpoint: Setpoint, x0: np.ndarray) -> Metrics:
+    """:func:`compute_metrics` for an ``x0`` already validated (a Scenario's)."""
     diverged = traj.status == "diverged"
     err = _peaks(col - x for col, x in zip(traj.states.T, setpoint.x_star))
     max_excursion = float(err.max()) if len(err) else 0.0
 
-    offset0 = float(np.abs(x0 - setpoint.x_star).max())
+    offset0 = max(map(abs, (x0 - setpoint.x_star).tolist()))
     if diverged:
         settled, settling_time = False, None
     elif offset0 == 0.0:

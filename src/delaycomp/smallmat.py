@@ -6,7 +6,7 @@ regulator) reduces to a handful of primitives on small real matrices:
 - ``mat_exp``     matrix exponential e^{A t} by scaling-and-squaring on a
                   truncated power series, with a diagonal fast path,
 - ``zoh_discretize``  exact zero-order-hold discretization: closed form for a
-                  diagonal A, else the augmented block exponential,
+                  diagonal A (``zoh_diagonal``), else the augmented exponential,
 - ``is_hurwitz``  strict stability test: the diagonal's signs if triangular,
                   else the real parts of numpy's eigenvalues,
 - ``solve``       ``numpy.linalg.solve`` behind an explicit singular-value
@@ -40,7 +40,7 @@ def as_matrix(entries, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not 1 <= a.shape[0] <= MAX_DIM:
         raise ValueError(f"{name} dimension {a.shape[0]} outside 1..{MAX_DIM}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
 
@@ -54,14 +54,14 @@ def as_vector(entries, n: int | None = None, name: str = "vector") -> np.ndarray
         raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"{name} must have length {n}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v
 
 
 def is_diagonal(a: np.ndarray) -> bool:
-    """True iff every off-diagonal entry of ``a`` is exactly zero."""
-    return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
+    """True iff ``a`` is finite and exactly zero off its diagonal."""
+    return np.count_nonzero(a) == np.count_nonzero(a.diagonal()) and np.count_nonzero(np.isfinite(a)) == a.size
 
 
 def mat_exp(A, t=1.0) -> np.ndarray:
@@ -110,9 +110,9 @@ def zoh_discretize(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization over one step of length ``dt``.
 
     Returns ``(Ad, Bd)``, ``Ad = e^{A dt}`` and ``Bd = (integral_0^dt e^{A s} ds) B``.
-    Diagonal A in closed form: ``Ad = diag(e^{a dt})``, ``Bd = diag(expm1(a dt) / a) B``
-    (dt where a = 0); else from the exponential of the augmented block matrix
-    ``[[A, B], [0, 0]]``, which handles singular ``A`` without special cases.
+    Diagonal A in closed form (:func:`zoh_diagonal`); else from the exponential
+    of the augmented block matrix ``[[A, B], [0, 0]]``, which handles singular
+    ``A`` without special cases.
     """
     A = as_matrix(A, "A")
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -124,13 +124,18 @@ def zoh_discretize(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"dt must be > 0, got {dt}")
     n, m = B.shape
     if is_diagonal(A):
-        a, phi = np.diagonal(A), np.full(n, float(dt))  # phi = expm1(a dt) / a, or dt where a = 0
-        return np.diag(np.exp(a * dt)), np.divide(np.expm1(a * dt), a, out=phi, where=a != 0)[:, None] * B
+        return zoh_diagonal(A.diagonal(), B, dt)
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = A
     aug[:n, n:] = B
     E = mat_exp(aug, dt)
     return E[:n, :n].copy(), E[:n, n:].copy()
+
+
+def zoh_diagonal(a: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked ZOH of A = diag(a): diag(e^{a dt}) and diag(expm1(a dt) / a) B (dt where a = 0)."""
+    x, phi = a * dt, np.full(len(a), float(dt))
+    return np.diag(np.exp(x)), np.divide(np.expm1(x), a, out=phi, where=a != 0)[:, None] * B
 
 
 def is_hurwitz(M) -> bool:

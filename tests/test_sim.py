@@ -142,6 +142,61 @@ class TestMatchedGain:
         np.testing.assert_array_equal(matched_gain(plant, K, 0.01), K)
 
 
+def same_bits(x, y):
+    """Equal shape, dtype and bytes: NaN-equal, and a signed zero counts."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestDiscretize:
+    """_discretize sets up diagonal loops entry by entry, to the same bits as
+    the public pair (zoh_discretize, matched_gain)."""
+
+    def test_diagonal_loops_match_public_pair(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        public, fallbacks, counts = zoh_discretize, [], {"same": 0, "raised": 0, "kept K": 0}
+
+        def counted(*args):
+            fallbacks.append(args)
+            return public(*args)
+        monkeypatch.setattr(sim, "zoh_discretize", counted)
+        for i in range(600):
+            n = i % 3 + 1
+            a = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+            if i % 4 == 0:
+                a[rng.integers(n)] = 0.0
+            b = 10.0 ** rng.uniform(-14.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+            dt = float(10.0 ** rng.uniform(-4.0, 3.0))
+            # a Hurwitz design, or any gain: an unstable loop overflows at long dt
+            k = (-rng.uniform(0.1, 10.0, n) - a) / b if i % 3 else rng.uniform(-5.0, 5.0, n)
+            plant = LtiPlant(np.diag(a), np.diag(b), 0.0)
+            sc = Scenario(plant=plant, gain=Gain(np.diag(k)), setpoint=origin_setpoint(plant),
+                          controller="nodelay", x0=np.zeros(n), dt=dt, T=dt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    step = public(plant.A, plant.B, dt)
+                    want = step + (matched_gain(plant, sc.gain.K, dt, step),)
+                except ValueError as exc:
+                    with pytest.raises(type(exc)):
+                        _discretize(sc)
+                    counts["raised"] += 1
+                    continue
+                got = _discretize(sc)
+            assert all(map(same_bits, got, want)), (a, b, k, dt)
+            counts["same"] += 1
+            counts["kept K"] += got[2] is sc.gain.K  # Bd singular by solve's rule
+        assert counts["same"] >= 500 and counts["raised"] > 0 and counts["kept K"] > 0
+        # every loop that does not raise is set up entry by entry
+        assert len(fallbacks) == counts["raised"]
+
+    def test_robot_skips_public_pair(self, monkeypatch):
+        sc = robot_scenario("nodelay")
+        want = zoh_discretize(sc.plant.A, sc.plant.B, sc.dt) + (matched_gain(sc.plant, sc.gain.K, sc.dt),)
+        monkeypatch.setattr(sim, "zoh_discretize", None)
+        monkeypatch.setattr(sim, "matched_gain", None)
+        assert all(map(same_bits, _discretize(sc), want))
+
+
 class TestRun:
     def test_constant_at_setpoint(self):
         sc = robot_scenario("nodelay", x0=(1.0, 0.5), T=1.0)
@@ -334,13 +389,9 @@ class TestLongHorizon:
         assert (traj.status, len(traj.t), traj.t_d) == (status, samples, t_d)
         assert metrics.diverged == (status == "diverged")
 
-    @pytest.mark.parametrize("T", [6000.0, 60000.0])
-    @pytest.mark.parametrize("x0", [(1e-300, 0.0), (1.0, 0.0)])
-    def test_fold_restep_within_scan_block(self, monkeypatch, x0, T):
-        # a failed fold block is stepped again from the _SCAN_BLOCK window
-        # holding its first failing row, and the blocks after it are no
-        # longer than _SCAN_BLOCK, so a diverging run steps at most
-        # _SCAN_BLOCK rows one at a time
+    @staticmethod
+    def stepped_rows(monkeypatch) -> list:
+        """The lengths of the runs of rows that sim._steps steps one at a time."""
         rows, steps = [], sim._steps
 
         def counted(*args):
@@ -351,8 +402,30 @@ class TestLongHorizon:
                 step(k0, k1)
             return counting
         monkeypatch.setattr(sim, "_steps", counted)
+        return rows
+
+    @pytest.mark.parametrize("T", [6000.0, 60000.0])
+    @pytest.mark.parametrize("x0", [(1e-300, 0.0), (1.0, 0.0)])
+    def test_fold_restep_within_scan_block(self, monkeypatch, x0, T):
+        # a failed fold block is stepped again from the _SCAN_BLOCK window
+        # holding its first failing row, and the blocks after it are no
+        # longer than _SCAN_BLOCK, so a diverging run steps at most
+        # _SCAN_BLOCK rows one at a time
+        rows = self.stepped_rows(monkeypatch)
         traj, _ = run(fold_overflow_scenario(x0, T))
         assert traj.status == "diverged"
+        assert 0 < sum(rows) <= _SCAN_BLOCK
+
+    @pytest.mark.parametrize("T", [6000.0, 60000.0])
+    def test_fold_restep_once_on_completing_run(self, monkeypatch, T):
+        # x0 = 0 completes, but F^128 overflows, and 0 * inf = NaN fails every
+        # fold block that reaches it; the first failure passed rows built from
+        # F .. F^64 alone, so the blocks after it stop there and one _SCAN_BLOCK
+        # window is stepped one row at a time
+        rows = self.stepped_rows(monkeypatch)
+        traj, metrics = run(fold_overflow_scenario((0.0, 0.0), T))
+        assert (traj.status, len(traj.t)) == ("completed", round(T / 20.0) + 1)
+        assert not metrics.diverged and np.all(traj.states == 0.0)
         assert 0 < sum(rows) <= _SCAN_BLOCK
 
 
@@ -737,6 +810,13 @@ class TestMetrics:
         traj = self._trajectory([0.0, 1.0], [[1.0, 0.0], [0.5, 0.0]])
         with pytest.raises(ValueError):
             compute_metrics(traj, Setpoint(np.zeros(2), np.zeros(2)), np.array(x0))
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_run_metrics_match_public(self, controller):
+        # run skips compute_metrics's check of the Scenario's x0, not its figures
+        for sc in (robot_scenario(controller, x0=(0.3, -0.2)), replace(scalar_scenario(controller, a=2.0), T=30.0)):
+            traj, metrics = run(sc)
+            assert metrics == compute_metrics(traj, sc.setpoint, sc.x0)
 
     def test_diverged(self):
         t = np.arange(0, 1.0, 0.1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from delaycomp.smallmat import (
     SingularMatrixError,
+    is_diagonal,
     is_hurwitz,
     mat_exp,
     solve,
@@ -163,6 +164,24 @@ class TestZohDiscretize:
             zoh_discretize(np.eye(2), np.eye(2), 0.0)
         with pytest.raises(ValueError):
             zoh_discretize(np.eye(2), np.eye(2), -0.1)
+
+
+class TestIsDiagonal:
+    def test_zero_diagonal_entry(self):
+        assert is_diagonal(np.diag([0.0, -2.0, 0.0]))
+        assert is_diagonal(np.zeros((1, 1))) and is_diagonal(np.zeros((3, 3)))
+
+    def test_nonzero_off_diagonal_entry(self):
+        a = np.diag([1.0, 2.0, 3.0])
+        a[2, 0] = 1e-300
+        assert not is_diagonal(a)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 1), (0, 1), (1, 0)])
+    def test_inf_or_nan_anywhere(self, bad, at):
+        a = np.diag([1.0, 0.0])
+        a[at] = bad
+        assert not is_diagonal(a)
 
 
 class TestIsHurwitz:
