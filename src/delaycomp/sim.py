@@ -32,9 +32,9 @@ _SCAN_BLOCK = 128
 # _LIFT_BYTES of record windows; a run whose blocks would be shorter than
 # _LIFT_MIN steps is not lifted, as such blocks measured no faster than steps.
 _LIFT_COLS, _LIFT_BYTES, _LIFT_MIN = 256, 1 << 24, 16
-# Bytes of record windows that one product of the forecast fill copies; kept
-# small, as the copy and BLAS's packing of it add to a run's peak memory.
-_FILL_BYTES = 1 << 16
+# Bytes of input windows that one product of the forecast fill copies; kept
+# well under a run's memory, as the copy adds to its peak.
+_FILL_BYTES = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +170,18 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     The rows go in blocks. Each kind of stepping has a helper that builds its
     maps once per run and returns a stepper: ``_fold`` and ``_lift`` step
     whole blocks of unclipped runs (at lag 0 and at lag N >= 1), ``_steps``
-    and ``_zform`` one step at a time. A whole block stands if its controls
-    are finite and its states, rows k0 to k1, are within the limit; any other
-    is stepped again by ``_steps``. Rows stepped one at a time are scanned per
-    block, and the run is cut where a per-step test would cut it: at the first
-    state whose inf-norm exceeds the threshold or is not finite, as diverged
-    at that state's time; a non-finite state is not recorded. After the loop,
-    the window form's forecasts are the forecast map over the recorded rows.
+    and ``_zform`` one step at a time. Whole blocks are checked in spans,
+    which double from one block while every check passes (a lag-0 run is one
+    block): a span stands if its controls are finite and its states, rows k0
+    to k1, are within the limit. A failed span of several blocks is cleared
+    from the block holding its first failing row and checked again block by
+    block from there, so a run steps at most about twice the lifted rows a
+    check per block would; a failed block is stepped again by ``_steps``. Rows
+    stepped one at a time are scanned per block, and the run is cut where a
+    per-step test would cut it: at the first state whose inf-norm exceeds the
+    threshold or is not finite, as diverged at that state's time; a
+    non-finite state is not recorded. After the loop, the window form's
+    forecasts are filled in from the recorded states and inputs.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
@@ -228,22 +233,32 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
                 block, block_step = (_fold(rec, ctl_in, u_out, control_map, plant_map, Bd) if lag == 0 else
                                      _lift(rec, control_map, plant_map, _block_length(plant.A, dt), N))
 
-        status, t_d, recorded, k1 = "completed", None, steps + 1, 0
+        status, t_d, recorded, k1, span, grow = "completed", None, steps + 1, 0, block, 1
         while k1 <= steps:
-            k0, k1 = k1, min(k1 + block, steps + 1)
+            k0, k1 = k1, min(k1 + span, steps + 1)
             if block_step:
                 block_step(k0, k1)
                 ok = _peaks(rec[k0:k1 + 1, :n].T) <= limit
                 ok[:-1] &= np.isfinite(_peaks(u_out[k0:k1].T))
                 if ok.all():
-                    continue  # rows k0..k1 pass the scan
+                    span += grow * span  # rows k0..k1 pass the scan
+                    continue
+                grow, r = 0, int(np.argmin(ok))
+                if k1 - k0 > block:
+                    # a span of blocks: those before the block holding the first failing row r pass a check of
+                    # their own; clear the rest, which the lifted passes add to, and check it block by block
+                    k0 += block * max(0, (r - 1) // block)
+                    x_out[k0:k1] = u_out[k0:k1] = 0.0
+                    span, k1 = block, k0
+                    continue
                 # else re-step from the _SCAN_BLOCK window holding the first failing row r (r - 1 if r starts
                 # it); later blocks span the r - 1 steps that passed (on finite powers of F), or are steps
-                r, block = int(np.argmin(ok)), min(block, _SCAN_BLOCK)
+                block = min(block, _SCAN_BLOCK)
                 k0 += max(0, min(r - 1, r - r % _SCAN_BLOCK))
-                x_out[k0:k1] = 0.0  # the forecast map reads state slots past row k
+                x_out[k0:k1] = 0.0  # the control map reads state slots past row k
                 k1 = min(k0 + block, steps + 1)
                 block, block_step = (min(block, r - 1), block_step) if r > _LIFT_MIN else (block, None)
+                span = block
             row_step(k0, k1)
             ok = _peaks(rec[k0:k1, :n].T) <= limit
             if not ok.all():
@@ -253,10 +268,7 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
                 break
         states, controls = rec[:recorded, :n], u_out[:recorded]
         if window:
-            # the forecast map is zero on state slots past row k, but 0 * inf
-            # is NaN: clear the rows the run did not record
-            rec[recorded:, :n] = 0.0
-            predictions = _forecasts(forecast, ctl_in, recorded)
+            predictions = _forecasts(pred, rec, recorded)
         else:
             predictions = predictions[:recorded]
 
@@ -323,9 +335,10 @@ def _lift(rec, control_map, plant_map, L, N):
     in row N - e's input slot, x_{k0+1+i-e} in row 1 - e's state slot).
     M = (I - T)^{-1} is block Toeplitz; its first block column comes by
     doubling: with P_K the inverse over K blocks, the next K are
-    P_K T[K:2K, :K] p_{:K}. The stepper adds M times the residuals into the
-    block's slots twice, from slots still 0 and once more to refine them,
-    which keeps the rounding near the per-step loop's."""
+    P_K T[K:2K, :K] p_{:K}. The stepper walks rows k0..k1 in blocks of L from
+    k0, and adds M times each block's residuals into its slots twice, from
+    slots still 0 and once more to refine them, which keeps the rounding near
+    the per-step loop's."""
     (n, d), steps = plant_map.shape, len(rec) - 1 - N
     b = d - 1
     L = min(L, steps + 1, _LIFT_COLS // b, _LIFT_BYTES // (8 * (N + 1) * d))
@@ -348,13 +361,14 @@ def _lift(rec, control_map, plant_map, L, N):
         p[L - 1 + K:L - 1 + K + k] = (_toeplitz(p[L - k:L - 1 + k], k, k) @ w).reshape(k, b, b)
         K += k
     M, res_map = _toeplitz(p, L, L), res_map.T
-    slots = own + d * np.arange(L)[:, None]
+    slots = (own + d * np.arange(L)[:, None]).reshape(-1)
 
     def step(k0, k1):
-        # the block's slots start at 0: pass 1 solves, pass 2 refines
-        at, size = slots[:k1 - k0].reshape(-1) + k0 * d, (k1 - k0) * b
-        for _ in range(2):
-            np.add.at(flat, at, M[:size, :size].dot(wide[k0:k1].dot(res_map).reshape(-1)))
+        for a in range(k0, k1, L):  # blocks of L rows from k0
+            rows = min(L, k1 - a)
+            win, at, block_map = wide[a:a + rows], slots[:rows * b] + a * d, M[:rows * b, :rows * b]
+            for _ in range(2):  # the block's slots start at 0: pass 1 solves, pass 2 refines
+                np.add.at(flat, at, block_map.dot(win.dot(res_map).reshape(-1)))
     return L, step
 
 
@@ -363,21 +377,26 @@ def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):
     xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] through the running
     integral z(t) = integral_0^t e^{-As} B (u(s) - u*) ds, zero on [-h, 0]. z is
     kept relative to the first step a of its block of L (``_block_length``)
-    steps, so its factors are e^{+-A (k - a) dt}, from one batched call per run;
-    at each block start the N + 1 rows still read move on to the new anchor
-    with one product, (z - z_a) e^{A L dt}^T. The stepper writes each row's
-    forecast into ``predictions``."""
+    steps, so its factors are e^{+-A (k - a) dt}, from one batched call per run.
+    A block's last step writes z's next row in the next block's frame, through
+    Bd, and at each block start the N rows before it move on to the new anchor
+    with one product, (z - z_a) e^{A L dt}^T; so at L = 1 no e^{-A dt} factor
+    is used. The stepper writes each row's forecast into ``predictions``."""
     A, dt, x_star, u_star = scenario.plant.A, scenario.dt, scenario.setpoint.x_star, scenario.setpoint.u_star
-    e_max, N, exp_h, pdot = scenario.e_max, pred.depth, pred.exp_h, plant_map.dot
+    e_max, N, exp_h, Bd, pdot = scenario.e_max, pred.depth, pred.exp_h, pred.Bd, plant_map.dot
     block, n = _block_length(A, dt), len(A)
-    # factors at times from the block start; the last moves z on
-    exp_t, z_gain = _zform_factors(A, scenario.plant.B, dt, dt * np.arange(block + 1))
+    # factors at times from the block start; e^{A L dt} moves z on. At L = 1 every step is a block's
+    # last, and the input factor, which overflows once ||A||_inf dt passes about 709, is not formed
+    t = dt * np.arange(block + 1)
+    exp_t, z_gain = _zform_factors(A, scenario.plant.B, dt, t) if block > 1 else (mat_exp(A, t), None)
+    move = exp_t[block]
     z = np.zeros((N + len(predictions) + 1, n))
     offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
+    last = block - 1 if N else 0  # at N = 0, z[N + k] - z[k] is 0: z stays 0
 
     def step(k0, k1):
-        kept = z[k0:N + k0 + 1]  # the rows still read, re-anchored at this block's start
-        np.matmul(kept - kept[0], exp_t[block].T, out=kept)
+        kept = z[k0:N + k0]  # the rows still read, but row N + k0, which is in this block's frame
+        np.matmul(kept - z[k0], move.T, out=kept)
         for k, u, row, x_next in zip(range(k0, k1), u_out[k0:k1], rec[k0:k1], x_out[k0:k1]):
             j, z_now = k - k0, z[N + k]
             xhat = exp_h.dot(row[:n]) + offset + exp_t[j].dot(z_now - z[k])
@@ -385,7 +404,11 @@ def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):
             np.add(c, Kd.dot(xhat), out=u)
             if e_max is not None:
                 u.clip(-e_max, e_max, out=u)
-            z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
+            if j < last:
+                z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
+            elif N:  # a block's last step writes the next row in the next block's frame:
+                # e^{A L dt} e^{-A (L - 1) dt} Gamma = e^{A dt} Gamma = Bd
+                z[N + k + 1] = move.dot(z_now - z[k + 1]) + Bd.dot(u - u_star)
             pdot(row, out=x_next)
     return block, step
 
@@ -429,14 +452,19 @@ def _forecast_map(pred: Predictor, d: int) -> np.ndarray:
     return out
 
 
-def _forecasts(forecast: np.ndarray, windows: np.ndarray, rows: int) -> np.ndarray:
-    """Row k is ``forecast`` applied to ``windows[k]``, for k < rows, a chunk
-    of windows at a time so that the copy BLAS needs stays small."""
-    out = np.empty((rows, forecast.shape[0]))
-    chunk = max(1, _FILL_BYTES // (8 * forecast.shape[1]))
-    for r0 in range(0, rows, chunk):
-        r1 = min(r0 + chunk, rows)
-        np.dot(windows[r0:r1], forecast.T, out=out[r0:r1])
+def _forecasts(pred: Predictor, rec: np.ndarray, rows: int) -> np.ndarray:
+    """Row k is the window forecast e^{Ah} x_k + G w_k for k < rows, with w_k
+    the inputs held over steps k..k+N-1: X e^{Ah}^T + W G^T. W's rows are
+    overlapping views of one contiguous copy of the record's input column,
+    taken a chunk at a time so that the copy BLAS needs stays small."""
+    (n, m), N = pred.Bd.shape, pred.depth
+    out = rec[:rows, :n].dot(pred.exp_h.T)
+    if N:
+        inputs = np.ascontiguousarray(rec[:rows + N - 1, n + 1:])
+        windows = np.ndarray((rows, N * m), float, inputs, 0, (inputs.strides[0], inputs.itemsize))
+        chunk, gt = max(1, _FILL_BYTES // (8 * N * m)), pred.G.T
+        for r0 in range(0, rows, chunk):
+            out[r0:r0 + chunk] += windows[r0:r0 + chunk].dot(gt)
     return out
 
 

@@ -39,9 +39,10 @@ ROBOT_PARAMS = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k
 SINGLE_INPUT = LtiPlant(np.array([[-1.0, 0.5], [0.0, 0.3]]), np.array([[1.0], [0.5]]), 0.2)
 
 
-def robot_scenario(controller, h=0.3, dt=0.01, T=10.0, x0=(0.0, 0.0), ref=(1.0, 0.5)):
-    plant = params_to_lti(ROBOT_PARAMS, h)
-    gain = design_gain(plant, [-5.0, -5.0])
+def robot_scenario(controller, h=0.3, dt=0.01, T=10.0, x0=(0.0, 0.0), ref=(1.0, 0.5), params=ROBOT_PARAMS,
+                   poles=(-5.0, -5.0)):
+    plant = params_to_lti(params, h)
+    gain = design_gain(plant, list(poles))
     setpoint = make_setpoint(plant, list(ref))
     return Scenario(plant=plant, gain=gain, setpoint=setpoint, controller=controller,
                     x0=np.array(x0, dtype=float), dt=dt, T=T)
@@ -357,8 +358,8 @@ class TestLongHorizon:
 
     def test_dt_past_float_range_raises_no_warning(self):
         # a_i dt = -2e308 overflows to -inf in the set-up: Ad = 0, Bd = -B / a
-        # and Kd = 0, so every form reaches x_1 = 0, all but the z form with
-        # zero controls; none may warn, in run or in sweep_delay
+        # and Kd = 0, so every form reaches x_1 = 0 with zero controls; none
+        # may warn, in run or in sweep_delay
         plant = LtiPlant(np.diag([-2.0, -1.0]), np.eye(2), 0.0)
         base = Scenario(plant=plant, gain=Gain.for_plant(-np.eye(2), plant), setpoint=origin_setpoint(plant),
                         controller="nodelay", x0=np.array([1.0, -1.0]), dt=1e308, T=1e308)
@@ -369,8 +370,7 @@ class TestLongHorizon:
         for controller, traj in runs.items():
             assert (traj.status, len(traj.t)) == ("completed", 2)
             np.testing.assert_array_equal(traj.states, [[1.0, -1.0], [0.0, 0.0]])
-            if controller != "predictor-zform":  # its NaN control here is the z form's open defect
-                np.testing.assert_array_equal(traj.controls, np.zeros((2, 2)))
+            np.testing.assert_array_equal(traj.controls, np.zeros((2, 2)))
         assert not (m_naive.diverged or m_pred.diverged)
 
     @pytest.mark.parametrize("x0,status,samples,t_d", [
@@ -428,6 +428,27 @@ class TestLongHorizon:
         assert not metrics.diverged and np.all(traj.states == 0.0)
         assert 0 < sum(rows) <= _SCAN_BLOCK
 
+    def test_lifted_rows_within_twice_the_run(self, monkeypatch):
+        # robot.cfg without friction and with poles at -8 is past naive feedback's delay margin:
+        # the 400 s run diverges at row 1496. Lifted runs are checked once per span of L, 2L,
+        # 4L, ... rows, and a failed span is stepped again block by block, so the rows the
+        # lifted stepper steps stay within twice the rows up to the first failing block
+        rows, lift = [], sim._lift
+
+        def counted(*args):
+            block, step = lift(*args)
+
+            def counting(k0, k1):
+                rows.append(k1 - k0)
+                step(k0, k1)
+            return block, counting
+        monkeypatch.setattr(sim, "_lift", counted)
+        params = replace(ROBOT_PARAMS, B_v=0.0, B_omega=0.0)
+        traj, _ = run(robot_scenario("naive", T=400.0, params=params, poles=(-8.0, -8.0)))
+        assert (traj.status, len(traj.t)) == ("diverged", 1497)
+        L = min(_SCAN_BLOCK, _LIFT_COLS // 4)  # A = 0; n + m = 4
+        assert sum(rows) <= 2 * L * math.ceil(1496 / L)
+
 
 @st.composite
 def general_plants(draw):
@@ -444,6 +465,19 @@ def general_plants(draw):
 class TestForecastForms:
     """Both forecast forms are exact at any horizon, and the z form ends
     each run as the window form does."""
+
+    @pytest.mark.parametrize("friction_v", [1e5, 1e6])
+    def test_fast_stable_mode(self, friction_v):
+        # ||A||_inf dt = 1000 and 10000, so the z form's blocks are one step long; its input
+        # factor e^{-A dt} Gamma would overflow, and each block's last step writes z's next
+        # row through Bd instead
+        params = replace(ROBOT_PARAMS, B_v=friction_v)
+        window, _ = run(robot_scenario("predictor-window", params=params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, metrics = run(robot_scenario("predictor-zform", params=params))
+        assert (traj.status, len(traj.t)) == (window.status, len(window.t))
+        assert metrics.max_prediction_error <= 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -551,23 +585,59 @@ class TestReferenceLoop:
         assert traj.status == "diverged"
         assert_matches_oracle(traj, run_oracle(sc))
 
-    @pytest.mark.parametrize("controller", ["naive", "predictor-window"])
-    @pytest.mark.parametrize("depth", [1, 5, 60])
-    def test_trip_in_second_lifted_block(self, controller, depth):
-        # the threshold first trips half-way into the second lifted block,
-        # which is then stepped again one step at a time from its first row
+    @pytest.mark.parametrize("depth,controller,row", [
+        pytest.param(depth, controller, (1, 25), id=f"{depth}-{controller}")
+        for depth in (1, 5, 60) for controller in ("naive", "predictor-window")
+    ] + [
+        # spans of L, 2L, 4L and 8L rows: the third is rows 3L..7L, the fourth 7L..15L; a
+        # block's first state row, and its last (7L and 15L end a span). Naive feedback
+        # overshoots x* at depth 60, so its norm is not the largest so far at these rows
+        pytest.param(depth, controller, row, id=f"{depth}-{controller}-{row[0]}L{row[1]:+d}")
+        for depth, controller in ((1, "naive"), (5, "naive"), (1, "predictor-window"), (60, "predictor-window"))
+        for row in ((4, 1), (7, 0), (9, 1), (15, 0))
+    ])
+    def test_trip_in_second_lifted_block(self, depth, controller, row):
+        # the threshold first trips at row j = q L + r for row = (q, r): half-way into the
+        # second lifted block, or in a later span, which is then stepped again block by
+        # block, and the failing block one step at a time from its first row
         A, B, K = _PLANTS["diagonal"]
         dt = 0.01
         L = _block_length(A, dt)
+        assert L == 50
+        j = row[0] * L + row[1]
         plant = LtiPlant(A, B, depth * dt)
         sc = Scenario(plant=plant, gain=Gain.for_plant(K, plant), setpoint=make_setpoint(plant, [1.0, 0.5]),
-                      controller=controller, x0=np.array([0.1, 0.05]), dt=dt, T=3 * L * dt)
-        j = L + L // 2
+                      controller=controller, x0=np.array([0.1, 0.05]), dt=dt, T=max(3, row[0] + 1) * L * dt)
         norms = np.max(np.abs(run_oracle(sc)[1]), axis=1)
-        sc = replace(sc, divergence_threshold=(norms[j - 1] + norms[j]) / 2.0)
+        assert norms[j] > norms[:j].max()
+        sc = replace(sc, divergence_threshold=(norms[:j].max() + norms[j]) / 2.0)
         traj, _ = run(sc)
         assert_matches_oracle(traj, run_oracle(sc))
         assert (traj.status, len(traj.t)) == ("diverged", j + 1)
+
+    @pytest.mark.parametrize("q", [5, 14])
+    def test_control_overflow_in_later_span(self, q):
+        # the run's first non-finite control is u_j, j = q L - 1, the last control of a block
+        # in the third or fourth span, while every state up to row j is finite: before row
+        # N = 400 the plant runs open loop on u* = 0, so x_k = e^{4 k dt} x0 and naive
+        # feedback's Kd x_k passes the float range first at row j. The -inf control would
+        # reach the state N steps later; the state's own overflow, 51 rows after row j, ends
+        # the run first
+        plant = LtiPlant(np.array([[4.0]]), np.array([[1.0]]), 4.0)
+        dt = 0.01
+        L = _block_length(plant.A, dt)
+        K = np.array([[-8.0]])
+        j, kd = q * L - 1, abs(matched_gain(plant, K, dt)[0, 0])
+        x0 = np.finfo(float).max / kd * math.exp(-4.0 * dt * (j - 0.5))
+        sc = Scenario(plant=plant, gain=Gain.for_plant(K, plant), setpoint=origin_setpoint(plant),
+                      controller="naive", x0=np.array([x0]), dt=dt, T=20 * L * dt,
+                      divergence_threshold=math.inf)
+        reference = run_oracle(sc)
+        controls, states = reference[2][:, 0], reference[1][:, 0]
+        assert L == 25 and np.all(np.isfinite(controls[:j])) and controls[j] == -np.inf
+        assert np.all(np.isfinite(states[:j + 1])) and reference[4] == "diverged"
+        traj, _ = run(sc)
+        assert_matches_oracle(traj, reference)
 
     def test_nonfinite_state_in_lifted_block(self):
         # naive feedback past its delay margin at dt = 0.05, where a lifted
