@@ -10,14 +10,10 @@ which under zero-order-hold inputs collapses to the finite sum
 xhat(t+h) = e^{A N dt} x + sum_i e^{A (N-1-i) dt} Bd u_i over the last
 N = h/dt applied controls. The sum is the exact forecast, not a quadrature of
 the distributed delay, so the instability of approximated distributed-delay
-laws does not apply. :class:`Predictor` precomputes e^{A N dt} and
-G = [e^{A (N-1) dt} Bd ... Bd], every exponential from its own grid time in
-one batched call, once per (plant, dt), for the window form of the forecast,
-e^{A N dt} x + G w, where w holds the last N applied controls, oldest first:
-every exponential argument is bounded by h. The simulation never forms w on
-its own: it applies the forecast, folded into its control map, to its record
-of states and held inputs. The z form, which the window form is validated
-against, lives in :mod:`delaycomp.sim` beside the loop that keeps its z.
+laws does not apply. :class:`Predictor` holds the window form of the sum; the
+simulation folds it into its control map over its record of states and held
+inputs. The z form, which the window form is validated against, lives in
+:mod:`delaycomp.sim` beside the loop that keeps its z.
 
 :func:`delay_steps` is the one place that turns a delay h into the step count
 N, and rejects a delay that is not an integer multiple of dt. A delay it
@@ -146,17 +142,18 @@ def delay_steps(h: float, dt: float) -> int:
 
 class Predictor:
     """Exact h-second-ahead state forecast for one plant and sample period,
-    in the window form: ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step
+    in the window form e^{A N dt} x + G w, w the last N applied controls,
+    oldest first: ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step
     discretization (or ``step``), ``exp_h`` = e^{A N dt} and ``G`` =
-    [e^{A (N-1) dt} Bd ... Bd], so a forecast costs two matrix-vector
-    products. The forecast is linear in (x, u), so it applies unchanged to
-    deviations from an equilibrium. The z form reads ``exp_h`` alone.
+    [e^{A (N-1) dt} Bd ... Bd], every exponential from its own grid time in
+    one batched call, so none has an argument past h. A forecast costs two
+    matrix-vector products. It is linear in (x, u), so it applies unchanged
+    to deviations from an equilibrium. The z form reads ``exp_h`` alone.
     """
 
     def __init__(self, plant: LtiPlant, dt: float, step=None):
         self.depth = N = delay_steps(plant.h, dt)
         self.Ad, self.Bd = step or zoh_discretize(plant.A, plant.B, dt)
-        # e^{A j dt}, j <= N, each from its own time in one batched call
         exps = mat_exp(plant.A, dt * np.arange(N + 1))
         self.exp_h = exps[N]
         self.G = (exps[:N] @ self.Bd)[::-1].transpose(1, 0, 2).reshape(plant.n, N * plant.m_in)

@@ -4,12 +4,9 @@ The plant is propagated by its exact zero-order-hold discretization, so the
 delay-compensation claim becomes a machine-checkable identity rather than an
 O(dt^k) approximation: with exact prediction, the control applied at t - h
 equals the undelayed feedback evaluated at x(t), and the t >= h trajectory is
-the undelayed closed-loop trajectory shifted by h.
-
-The loop applies the discrete-matched gain Kd of :func:`matched_gain`:
-Ad + Bd Kd = e^{(A + B K) dt}, so holding u = u* + Kd (x_k - x*) over one
-sample reproduces the continuous closed loop dx/dt = (A + B K)(x - x*) at
-every sample time. For small dt, Kd -> K.
+the undelayed closed-loop trajectory shifted by h. The loop feeds back
+through the discrete-matched gain of :func:`matched_gain`, which makes the
+sampled loop the continuous closed loop at every sample time.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import numpy as np
 
 from .control import Gain, Predictor, Setpoint, delay_steps
 from .robot import LtiPlant
-from .smallmat import SingularMatrixError, as_vector, is_diagonal, mat_exp, solve, zoh_diagonal, zoh_discretize
+from .smallmat import SingularMatrixError, as_vector, is_diagonal, mat_exp, solve, zoh_discretize, zoh_unchecked
 
 CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
 
@@ -110,46 +107,36 @@ class Metrics:
 
 
 def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float, step=None) -> np.ndarray:
-    """Discrete-matched feedback gain for the sampling period ``dt``.
-
-    Solves Bd Kd = e^{(A + B K) dt} - Ad, with the plant's (Ad, Bd) at dt from ``step`` when given,
-    so the sampled loop reproduces the continuous closed loop exactly at sample instants. Returns K
-    unchanged when Bd is not square or is singular by :func:`solve`'s rule; for diagonal Bd and
-    A + B K, Kd comes row by row (:func:`_diagonal_gain`).
+    """Discrete-matched feedback gain Kd for the sampling period ``dt``, which solves
+    Bd Kd = e^{(A + B K) dt} - Ad (so Ad + Bd Kd = e^{(A + B K) dt}, and Kd -> K as dt -> 0),
+    with the plant's (Ad, Bd) from ``step`` when given. K when Bd is not square or is singular by
+    :func:`solve`'s rule; ValueError when Bd or the target is not finite. For A + B K = diag(r) and a
+    non-singular Bd = diag(bd) (the robot), Kd = (diag(e^{r dt}) - Ad) / bd by rows, with no mat_exp or solve.
     """
     Ad, Bd = step or zoh_discretize(plant.A, plant.B, dt)
+    K = np.asarray(K, dtype=float)
     if Bd.shape[0] != Bd.shape[1]:
-        return np.asarray(K, dtype=float)
+        return K
     acl = plant.A + plant.B @ K
     diagonal = is_diagonal(Bd) and is_diagonal(acl)  # is_diagonal fails on inf and NaN
-    if diagonal and (Kd := _diagonal_gain(K, acl.diagonal(), Ad, Bd, dt)) is not None:
-        return Kd
+    target = (np.diag(np.exp(acl.diagonal() * dt)) if diagonal else mat_exp(acl, dt)) - Ad
+    if not all(map(math.isfinite, target.ravel().tolist() + Bd.ravel().tolist())):
+        raise ValueError(f"Bd or e^{{(A + B K) dt}} - Ad is not finite at dt={dt:g}")
+    size = np.abs(Bd.diagonal()).tolist()  # a diagonal Bd's singular values
+    if diagonal and min(size) >= 1e-12 * (max(size) or 1.0):  # else solve's rule finds Bd singular
+        return target / Bd.diagonal()[:, None]
     try:
-        return solve(Bd, mat_exp(acl, dt) - Ad)
+        return solve(Bd, target)
     except SingularMatrixError:
-        return np.asarray(K, dtype=float)
-
-
-def _diagonal_gain(K, rates, Ad, Bd, dt):
-    """Kd = (e^{(A + B K) dt} - Ad) / bd by rows for Bd = diag(bd), A + B K = diag(rates); K if Bd is
-    singular by solve's rule (|bd| are its singular values); None if a factor is not finite."""
-    bd = Bd.diagonal()
-    target, size = np.diag(np.exp(rates * dt)) - Ad, np.abs(bd).tolist()
-    if all(map(math.isfinite, target.ravel().tolist() + size)):  # else solve rejects the loop
-        return np.asarray(K, dtype=float) if min(size) < 1e-12 * (max(size) or 1.0) else target / bd[:, None]
-    return None
+        return K
 
 
 def _discretize(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Ad, Bd, Kd) for the scenario's plant, gain and dt. A diagonal loop (the robot) goes entry by entry,
-    to the bits of zoh_discretize and matched_gain, which take other loops and non-finite results."""
-    A, B, K, dt = scenario.plant.A, scenario.plant.B, scenario.gain.K, scenario.dt
-    if B.shape == A.shape and is_diagonal(A) and is_diagonal(B) and is_diagonal(K):
-        Ad, Bd = zoh_diagonal(A.diagonal(), B, dt)
-        if (Kd := _diagonal_gain(K, A.diagonal() + B.diagonal() * K.diagonal(), Ad, Bd, dt)) is not None:
-            return Ad, Bd, Kd
-    step = zoh_discretize(A, B, dt)
-    return step + (matched_gain(scenario.plant, K, dt, step),)
+    """(Ad, Bd, Kd) for the scenario's plant, gain and dt: :func:`zoh_discretize` and then
+    :func:`matched_gain`, without the checks of A, B and dt that the Scenario already ran."""
+    plant, dt = scenario.plant, scenario.dt
+    step = zoh_unchecked(plant.A, plant.B, dt)
+    return step + (matched_gain(plant, scenario.gain.K, dt, step),)
 
 
 def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
@@ -180,8 +167,12 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     stepped one at a time are scanned per block, and the run is cut where a
     per-step test would cut it: at the first state whose inf-norm exceeds the
     threshold or is not finite, as diverged at that state's time; a
-    non-finite state is not recorded. After the loop, the window form's
-    forecasts are filled in from the recorded states and inputs.
+    non-finite state is not recorded. A fold block that reaches an overflowing
+    power of F fails on the first row that uses it (0 * inf = NaN even on a
+    zero state), and its later blocks stop at the last finite power, so such
+    a run steps at most one ``_SCAN_BLOCK`` of rows one at a time. After the
+    loop, the window form's forecasts are filled in from the recorded states
+    and inputs.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
@@ -338,7 +329,9 @@ def _lift(rec, control_map, plant_map, L, N):
     P_K T[K:2K, :K] p_{:K}. The stepper walks rows k0..k1 in blocks of L from
     k0, and adds M times each block's residuals into its slots twice, from
     slots still 0 and once more to refine them, which keeps the rounding near
-    the per-step loop's."""
+    the per-step loop's. Only the per-step maps enter, never powers of the
+    closed loop, so the pair-error checks and the delayed-equals-shifted
+    identity do not depend on how the states are computed."""
     (n, d), steps = plant_map.shape, len(rec) - 1 - N
     b = d - 1
     L = min(L, steps + 1, _LIFT_COLS // b, _LIFT_BYTES // (8 * (N + 1) * d))
@@ -381,7 +374,8 @@ def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):
     A block's last step writes z's next row in the next block's frame, through
     Bd, and at each block start the N rows before it move on to the new anchor
     with one product, (z - z_a) e^{A L dt}^T; so at L = 1 no e^{-A dt} factor
-    is used. The stepper writes each row's forecast into ``predictions``."""
+    is used, and no factor grows with the horizon. The stepper writes each
+    row's forecast into ``predictions``."""
     A, dt, x_star, u_star = scenario.plant.A, scenario.dt, scenario.setpoint.x_star, scenario.setpoint.u_star
     e_max, N, exp_h, Bd, pdot = scenario.e_max, pred.depth, pred.exp_h, pred.Bd, plant_map.dot
     block, n = _block_length(A, dt), len(A)
@@ -419,7 +413,7 @@ def _zform_factors(A: np.ndarray, B: np.ndarray, dt: float, t: np.ndarray) -> tu
     and ``e^{-A t_k} (integral_0^dt e^{-As} ds) B``, which maps the input held
     over [t_k, t_k + dt) to z(t_k + dt) - z(t_k). Each factor comes from its
     own t_k, never from a product of step exponentials."""
-    return mat_exp(A, t), mat_exp(A, -t) @ zoh_discretize(-A, B, dt)[1]
+    return mat_exp(A, t), mat_exp(A, -t) @ zoh_unchecked(-A, B, dt)[1]
 
 
 def _block_length(A: np.ndarray, dt: float) -> int:
@@ -455,8 +449,9 @@ def _forecast_map(pred: Predictor, d: int) -> np.ndarray:
 def _forecasts(pred: Predictor, rec: np.ndarray, rows: int) -> np.ndarray:
     """Row k is the window forecast e^{Ah} x_k + G w_k for k < rows, with w_k
     the inputs held over steps k..k+N-1: X e^{Ah}^T + W G^T. W's rows are
-    overlapping views of one contiguous copy of the record's input column,
-    taken a chunk at a time so that the copy BLAS needs stays small."""
+    overlapping views of one contiguous copy of the record's input column, so
+    a row is N m wide and reads no state slot; they are taken a chunk at a
+    time so that the copy BLAS needs stays small."""
     (n, m), N = pred.Bd.shape, pred.depth
     out = rec[:rows, :n].dot(pred.exp_h.T)
     if N:

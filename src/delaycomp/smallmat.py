@@ -5,8 +5,8 @@ regulator) reduces to a handful of primitives on small real matrices:
 
 - ``mat_exp``     matrix exponential e^{A t} by scaling-and-squaring on a
                   truncated power series, with a diagonal fast path,
-- ``zoh_discretize``  exact zero-order-hold discretization: closed form for a
-                  diagonal A (``zoh_diagonal``), else the augmented exponential,
+- ``zoh_discretize``  exact zero-order-hold discretization, checked, over
+                  ``zoh_unchecked``: closed form for a diagonal A, else augmented,
 - ``is_hurwitz``  strict stability test: the diagonal's signs if triangular,
                   else the real parts of numpy's eigenvalues,
 - ``solve``       ``numpy.linalg.solve`` behind an explicit singular-value
@@ -109,10 +109,8 @@ def mat_exp(A, t=1.0) -> np.ndarray:
 def zoh_discretize(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization over one step of length ``dt``.
 
-    Returns ``(Ad, Bd)``, ``Ad = e^{A dt}`` and ``Bd = (integral_0^dt e^{A s} ds) B``.
-    Diagonal A in closed form (:func:`zoh_diagonal`); else from the exponential
-    of the augmented block matrix ``[[A, B], [0, 0]]``, which handles singular
-    ``A`` without special cases.
+    Returns ``(Ad, Bd)``, ``Ad = e^{A dt}`` and ``Bd = (integral_0^dt e^{A s} ds) B``,
+    from :func:`zoh_unchecked` once A, B and dt pass their checks.
     """
     A = as_matrix(A, "A")
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -122,20 +120,25 @@ def zoh_discretize(A, B, dt: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("B has non-finite entries")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be > 0, got {dt}")
+    return zoh_unchecked(A, B, dt)
+
+
+def zoh_unchecked(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`zoh_discretize` without its checks: A finite, square and float, B finite,
+    2-D, float and with A's rows, dt finite and > 0. A diagonal A = diag(a) in closed form,
+    ``diag(e^{a dt})`` and ``diag(expm1(a dt) / a) B`` (dt where a = 0); any other A from the
+    exponential of ``[[A, B], [0, 0]]``, which needs no special case for a singular A. Entries
+    past the float range come out non-finite, and nothing raises."""
     n, m = B.shape
     if is_diagonal(A):
-        return zoh_diagonal(A.diagonal(), B, dt)
+        a = A.diagonal()
+        x, phi = a * dt, np.full(n, float(dt))
+        return np.diag(np.exp(x)), np.divide(np.expm1(x), a, out=phi, where=a != 0)[:, None] * B
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = A
     aug[:n, n:] = B
     E = mat_exp(aug, dt)
     return E[:n, :n].copy(), E[:n, n:].copy()
-
-
-def zoh_diagonal(a: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked ZOH of A = diag(a): diag(e^{a dt}) and diag(expm1(a dt) / a) B (dt where a = 0)."""
-    x, phi = a * dt, np.full(len(a), float(dt))
-    return np.diag(np.exp(x)), np.divide(np.expm1(x), a, out=phi, where=a != 0)[:, None] * B
 
 
 def is_hurwitz(M) -> bool:

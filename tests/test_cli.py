@@ -476,6 +476,9 @@ class TestUnbuildableConfig:
         ({"gain_force": 1e-300}, INPUT_KEYS),  # B singular to working precision
         ({"inertia": 3e12}, INPUT_KEYS),
         ({"w_ref": 1e308}, ("v_ref", "w_ref")),  # A x* overflows
+        # Bd = dt B overflows on the frictionless channel, where a = 0
+        ({"friction_v": 0.0, "delay": 0.0, "dt": 1e308, "horizon": 1e308}, "dt"),
+        ({"friction_v": 0.0, "gain_force": 1e308, "gain_torque": 1e308, "delay": 0.0, "dt": 10.0}, "dt"),
     ])
     def test_names_the_keys(self, tmp_path, capsys, values, key):
         with pytest.raises(ConfigError) as err, np.errstate(over="ignore"):  # as in cli.main
@@ -521,6 +524,13 @@ class TestUnbuildableConfig:
     @example({"friction_v": 1e-320, "friction_w": 1e-320}, "run --controller predictor-zform")
     # ||A dt|| and the exponential's squaring count past the float range
     @example({"dt": 1e308, "horizon": 1e308}, "sweep")
+    # Bd = dt B past the float range on a frictionless channel
+    @example({"friction_v": 0.0, "delay": 0.0, "dt": 1e308, "horizon": 1e308}, "run")
+    @example({"friction_v": 0.0, "delay": 0.0, "dt": 1e308, "horizon": 1e308}, "compare")
+    @example({"friction_v": 0.0, "delay": 0.0, "dt": 1e308, "horizon": 1e308}, "sweep")
+    @example({"friction_v": 0.0, "gain_force": 1e308, "gain_torque": 1e308, "delay": 0.0, "dt": 10.0}, "run")
+    @example({"friction_v": 0.0, "gain_force": 1e308, "gain_torque": 1e308, "delay": 0.0, "dt": 10.0}, "compare")
+    @example({"friction_v": 0.0, "gain_force": 1e308, "gain_torque": 1e308, "delay": 0.0, "dt": 10.0}, "sweep")
     def test_no_traceback(self, values, command):
         """Any finite value of one or two keys exits 0, 2 or 64, with one
         line on stderr on 64 and none otherwise."""

@@ -150,15 +150,15 @@ def same_bits(x, y):
 
 
 class TestDiscretize:
-    """_discretize sets up diagonal loops entry by entry, to the same bits as
-    the public pair (zoh_discretize, matched_gain)."""
+    """_discretize is the public pair (zoh_discretize, matched_gain) without
+    zoh_discretize's checks, which the Scenario's plant already ran."""
 
     def test_diagonal_loops_match_public_pair(self, monkeypatch):
         rng = np.random.default_rng(19)
-        public, fallbacks, counts = zoh_discretize, [], {"same": 0, "raised": 0, "kept K": 0}
+        public, checked, counts = zoh_discretize, [], {"same": 0, "raised": 0, "kept K": 0}
 
         def counted(*args):
-            fallbacks.append(args)
+            checked.append(args)
             return public(*args)
         monkeypatch.setattr(sim, "zoh_discretize", counted)
         for i in range(600):
@@ -187,14 +187,13 @@ class TestDiscretize:
             counts["same"] += 1
             counts["kept K"] += got[2] is sc.gain.K  # Bd singular by solve's rule
         assert counts["same"] >= 500 and counts["raised"] > 0 and counts["kept K"] > 0
-        # every loop that does not raise is set up entry by entry
-        assert len(fallbacks) == counts["raised"]
+        # no diagonal loop, raising or not, goes through the checked discretization
+        assert not checked
 
-    def test_robot_skips_public_pair(self, monkeypatch):
+    def test_robot_skips_zoh_checks(self, monkeypatch):
         sc = robot_scenario("nodelay")
         want = zoh_discretize(sc.plant.A, sc.plant.B, sc.dt) + (matched_gain(sc.plant, sc.gain.K, sc.dt),)
         monkeypatch.setattr(sim, "zoh_discretize", None)
-        monkeypatch.setattr(sim, "matched_gain", None)
         assert all(map(same_bits, _discretize(sc), want))
 
 
