@@ -21,7 +21,7 @@ import numpy as np
 
 from .control import delay_steps, design_gain, make_setpoint
 from .robot import RobotParams, params_to_lti, pose_path
-from .sim import CONTROLLERS, Metrics, Scenario, Trajectory, matched_gain, run, sweep_delay
+from .sim import CONTROLLERS, Metrics, Scenario, Trajectory, run, sweep_delay
 from .smallmat import SingularMatrixError
 
 EXIT_OK = 0
@@ -157,9 +157,10 @@ def build_scenario(config: Config, controller: str | None = None) -> Scenario:
     stage that fails: ``delay`` (its step count), the keys that set A and B
     (an entry not finite), ``poles`` (A + B K not Hurwitz, or K not finite),
     ``v_ref``/``w_ref`` (u* not finite) or, if B is singular, the keys that
-    set B, ``dt`` (the sampled loop's Bd or e^{(A + B K) dt} not finite, as
-    when Bd = dt B overflows on a frictionless channel), and ``horizon`` (too
-    many steps of dt).
+    set B, ``horizon`` (too many steps of dt), and ``dt`` (the scenario's
+    sampled loop, whose Bd or e^{(A + B K) dt} is not finite, as when
+    Bd = dt B overflows on a frictionless channel). The loop is kept on the
+    scenario, so its run does not form it again.
     """
     key = "delay"
     try:
@@ -170,10 +171,8 @@ def build_scenario(config: Config, controller: str | None = None) -> Scenario:
         gain = design_gain(plant, config.poles)
         key = ("v_ref", "w_ref")
         setpoint = make_setpoint(plant, [config.v_ref, config.w_ref])
-        key = "dt"
-        matched_gain(plant, gain.K, config.dt)
         key = "horizon"
-        return Scenario(
+        scenario = Scenario(
             plant=plant,
             gain=gain,
             setpoint=setpoint,
@@ -183,6 +182,9 @@ def build_scenario(config: Config, controller: str | None = None) -> Scenario:
             T=config.horizon,
             e_max=config.e_max,
         )
+        key = "dt"
+        scenario.loop  # formed here once, and kept for the run
+        return scenario
     except ValueError as exc:  # only the setpoint solves with B
         raise ConfigError(_INPUT_KEYS if isinstance(exc, SingularMatrixError) else key, str(exc)) from None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -38,7 +38,7 @@ _FILL_BYTES = 1 << 19
 class Scenario:
     """One closed-loop run: plant, controller selection and sampling grid.
 
-    Every field is validated here, so :func:`run` works on raw arrays.
+    Every field is validated here, and ``loop`` formed once, so :func:`run` works on raw arrays.
     """
 
     plant: LtiPlant
@@ -71,6 +71,14 @@ class Scenario:
         x0 = as_vector(self.x0, n, "x0")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
+
+    @cached_property
+    def loop(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sampled loop (Ad, Bd, Kd), which depends on neither h nor the controller: the ZOH step without
+        the checks that ran above, then :func:`matched_gain`, which raises ValueError if it is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a dt past the float range gives 0 or inf exponentials
+            step = zoh_unchecked(self.plant.A, self.plant.B, self.dt)
+            return step + (matched_gain(self.plant, self.gain.K, self.dt, step),)
 
 
 @dataclass
@@ -131,15 +139,7 @@ def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float, step=None) -> np.nda
         return K
 
 
-def _discretize(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Ad, Bd, Kd) for the scenario's plant, gain and dt: :func:`zoh_discretize` and then
-    :func:`matched_gain`, without the checks of A, B and dt that the Scenario already ran."""
-    plant, dt = scenario.plant, scenario.dt
-    step = zoh_unchecked(plant.A, plant.B, dt)
-    return step + (matched_gain(plant, scenario.gain.K, dt, step),)
-
-
-def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
+def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     """Simulate one scenario; returns the trajectory and its metrics.
 
     The run lives in one record indexed by step, so no clock can drift. Row r
@@ -160,19 +160,19 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     and ``_zform`` one step at a time. Whole blocks are checked in spans,
     which double from one block while every check passes (a lag-0 run is one
     block): a span stands if its controls are finite and its states, rows k0
-    to k1, are within the limit. A failed span of several blocks is cleared
-    from the block holding its first failing row and checked again block by
-    block from there, so a run steps at most about twice the lifted rows a
-    check per block would; a failed block is stepped again by ``_steps``. Rows
-    stepped one at a time are scanned per block, and the run is cut where a
-    per-step test would cut it: at the first state whose inf-norm exceeds the
-    threshold or is not finite, as diverged at that state's time; a
-    non-finite state is not recorded. A fold block that reaches an overflowing
-    power of F fails on the first row that uses it (0 * inf = NaN even on a
-    zero state), and its later blocks stop at the last finite power, so such
-    a run steps at most one ``_SCAN_BLOCK`` of rows one at a time. After the
-    loop, the window form's forecasts are filled in from the recorded states
-    and inputs.
+    to k1, are within the limit. A failed span is cleared from the block that
+    wrote its first failing row and stepped again, by ``_steps`` from the
+    ``_SCAN_BLOCK`` window holding that row and in blocks after it; so no
+    failing lifted block is lifted twice, and a run lifts at most about twice
+    the rows a check per block would. Rows stepped one at a time are scanned
+    per block, and the run is cut where a per-step test would cut it: at the
+    first state whose inf-norm exceeds the threshold or is not finite, as
+    diverged at that state's time; a non-finite state is not recorded. A fold
+    block that reaches an overflowing power of F fails on the first row that
+    uses it (0 * inf = NaN even on a zero state), and its later blocks stop at
+    the last finite power, so such a run steps at most one ``_SCAN_BLOCK`` of
+    rows one at a time. After the loop, the window form's forecasts are filled
+    in from the recorded states and inputs.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
@@ -184,10 +184,9 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
     limit = min(scenario.divergence_threshold, 1.7976931348623157e308)
 
     d = n + 1 + m
-    # overflow is no error: it ends the run as diverged (a dt past the float range gives 0 or inf exponentials)
+    Ad, Bd, Kd = scenario.loop
+    # overflow is no error: it ends the run as diverged, and its metrics hold inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        # sweep_delay hands in the (Ad, Bd, Kd) its runs share
-        Ad, Bd, Kd = _shared or _discretize(scenario)
         c = sp.u_star - Kd @ sp.x_star
         # the last control goes to row steps + lag; the plant step after the last
         # sample writes row steps + 1, which is not recorded
@@ -234,19 +233,16 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
                 if ok.all():
                     span += grow * span  # rows k0..k1 pass the scan
                     continue
+                # re-step from the block that wrote the first failing row r (the blocks before it pass a check of
+                # their own), and in it from the _SCAN_BLOCK window holding r (r - 1 if r starts it); later
+                # blocks span the r - 1 steps that passed (on finite powers of F), or are steps
                 grow, r = 0, int(np.argmin(ok))
-                if k1 - k0 > block:
-                    # a span of blocks: those before the block holding the first failing row r pass a check of
-                    # their own; clear the rest, which the lifted passes add to, and check it block by block
-                    k0 += block * max(0, (r - 1) // block)
-                    x_out[k0:k1] = u_out[k0:k1] = 0.0
-                    span, k1 = block, k0
-                    continue
-                # else re-step from the _SCAN_BLOCK window holding the first failing row r (r - 1 if r starts
-                # it); later blocks span the r - 1 steps that passed (on finite powers of F), or are steps
-                block = min(block, _SCAN_BLOCK)
-                k0 += max(0, min(r - 1, r - r % _SCAN_BLOCK))
-                x_out[k0:k1] = 0.0  # the control map reads state slots past row k
+                failed_step = r if np.abs(rec[k0 + r, :n]).max() <= limit else r - 1  # wrote the failing value
+                skip = block * max(0, failed_step // block)
+                block, r = min(block, _SCAN_BLOCK), r - skip
+                k0 += skip + max(0, min(r - 1, r - r % _SCAN_BLOCK))
+                # the lifted passes add to their slots, and the control map reads state slots past row k
+                x_out[k0:k1] = u_out[k0:k1] = 0.0
                 k1 = min(k0 + block, steps + 1)
                 block, block_step = (min(block, r - 1), block_step) if r > _LIFT_MIN else (block, None)
                 span = block
@@ -262,19 +258,18 @@ def run(scenario: Scenario, _shared=None) -> tuple[Trajectory, Metrics]:
             predictions = _forecasts(pred, rec, recorded)
         else:
             predictions = predictions[:recorded]
-
-    traj = Trajectory(
-        t=np.arange(recorded) * dt,
-        states=states,
-        controls=controls,
-        predictions=predictions,
-        status=status,
-        t_d=t_d,
-        dt=dt,
-        h=plant.h,
-        controller=scenario.controller,
-    )
-    return traj, _metrics(traj, sp, scenario.x0)
+        traj = Trajectory(
+            t=np.arange(recorded) * dt,
+            states=states,
+            controls=controls,
+            predictions=predictions,
+            status=status,
+            t_d=t_d,
+            dt=dt,
+            h=plant.h,
+            controller=scenario.controller,
+        )
+        return traj, _metrics(traj, sp, scenario.x0)
 
 
 def _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, e_max):
@@ -470,7 +465,8 @@ def _peaks(columns) -> np.ndarray:
 
 def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:
     """Settling (2% band on the inf-norm of the initial offset) and prediction-pair accuracy."""
-    return _metrics(traj, setpoint, as_vector(x0, len(setpoint.x_star), "x0"))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run: an overflow reads as inf or NaN
+        return _metrics(traj, setpoint, as_vector(x0, len(setpoint.x_star), "x0"))
 
 
 def _metrics(traj: Trajectory, setpoint: Setpoint, x0: np.ndarray) -> Metrics:
@@ -480,7 +476,7 @@ def _metrics(traj: Trajectory, setpoint: Setpoint, x0: np.ndarray) -> Metrics:
     max_excursion = float(err.max()) if len(err) else 0.0
 
     offset0 = max(map(abs, (x0 - setpoint.x_star).tolist()))
-    if diverged:
+    if diverged or not math.isfinite(offset0):  # an infinite offset leaves no band to settle in
         settled, settling_time = False, None
     elif offset0 == 0.0:
         settled, settling_time = True, 0.0
@@ -513,15 +509,15 @@ def _metrics(traj: Trajectory, setpoint: Setpoint, x0: np.ndarray) -> Metrics:
 def sweep_delay(base_scenario: Scenario, h_values) -> list[tuple[float, Metrics, Metrics]]:
     """Run naive vs. predictor-window pairs over a list of delays.
 
-    Each h must be an integer multiple of the scenario's dt. All runs share
-    one discretization of the plant and gain. Results keep the input order.
+    Each h must be an integer multiple of the scenario's dt. The base
+    scenario's loop is formed once and set on every run's scenario, since it
+    depends on neither h nor the controller. Results keep the input order.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # as in run
-        shared = _discretize(base_scenario)
-    out = []
+    loop, out = base_scenario.loop, []
     for h in h_values:
         plant = LtiPlant(base_scenario.plant.A, base_scenario.plant.B, float(h))
-        _, m_naive = run(replace(base_scenario, plant=plant, controller="naive"), _shared=shared)
-        _, m_pred = run(replace(base_scenario, plant=plant, controller="predictor-window"), _shared=shared)
-        out.append((float(h), m_naive, m_pred))
+        pair = [replace(base_scenario, plant=plant, controller=c) for c in ("naive", "predictor-window")]
+        for scenario in pair:
+            object.__setattr__(scenario, "loop", loop)
+        out.append((float(h), *(run(scenario)[1] for scenario in pair)))
     return out

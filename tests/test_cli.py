@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import runpy
 import tempfile
 import warnings
 from pathlib import Path
@@ -144,6 +145,18 @@ class TestRunCommand:
         metrics = (out / "predictor-window.metrics.txt").read_text()
         assert "settled = true" in metrics
         assert "diverged = false" in metrics
+
+    def test_module_entry_point(self, tmp_path, monkeypatch):
+        # python -m delaycomp runs __main__.py, whose console_main exits with cli.main's code
+        cfg = write_config(tmp_path, extra="horizon = 1\n")
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "main")]) == EXIT_OK
+        argv = ["delaycomp", "run", "--config", str(cfg), "--out-dir", str(tmp_path / "module")]
+        monkeypatch.setattr("sys.argv", argv)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("delaycomp", run_name="__main__")
+        assert exit_info.value.code == EXIT_OK
+        for name in ("predictor-window.csv", "predictor-window.metrics.txt"):
+            assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
 
     def test_csv_round_trip_full_precision(self, tmp_path):
         cfg_path = write_config(tmp_path, extra="horizon = 1\n")

@@ -302,3 +302,18 @@ class TestRegulator:
                              controller="naive", x0=np.array([9.0, -9.0]), dt=0.01, T=0.1)
         traj, _ = run(zero_gain)
         np.testing.assert_allclose(traj.controls, np.tile(sc.setpoint.u_star, (len(traj.t), 1)))
+
+
+# (1, 1) K on an n = 2, m = 1 plant: unchecked, A + B K would broadcast to 2 x 2
+TWO_STATES_ONE_INPUT = LtiPlant(np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]), 0.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Gain(np.array([[-1.0, np.inf]])), ValueError, "non-finite"),
+    (lambda: Gain(np.array([[np.nan]])), ValueError, "non-finite"),
+    (lambda: Gain.for_plant(np.array([[-1.0]]), TWO_STATES_ONE_INPUT), ValueError, r"gain shape \(1, 1\)"),
+    (lambda: equilibrium_input(TWO_STATES_ONE_INPUT, [1.0, 0.0]), UnsupportedStructureError, "square input"),
+])
+def test_boundary_checks_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

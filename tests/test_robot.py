@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycomp.robot import (
+    LtiPlant,
     RobotParams,
     actuator_forces,
     params_to_lti,
@@ -166,3 +168,15 @@ class TestWrapAngle:
     def test_wrap(self, a, expected):
         assert wrap_angle(a) == pytest.approx(expected, abs=1e-12)
         assert -math.pi < wrap_angle(a) <= math.pi
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: LtiPlant(np.eye(2), np.ones((3, 2)), 0.0), "B row count 3"),
+    (lambda: LtiPlant(np.eye(2), np.array([[1.0], [np.nan]]), 0.0), "B has non-finite"),
+    (lambda: LtiPlant(np.eye(2), np.array([[1.0], [-np.inf]]), 0.0), "B has non-finite"),
+    *((lambda field=field: replace(DEFAULT, **{field: math.inf}), f"{field} must be finite")
+      for field in ("m", "J", "B_v", "B_omega", "l", "k_m", "k_d")),
+])
+def test_boundary_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

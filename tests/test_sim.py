@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from delaycomp.control import (
     make_setpoint,
     origin_setpoint,
 )
-from delaycomp import sim
+from delaycomp import cli, sim
 from delaycomp.robot import LtiPlant, params_to_lti, RobotParams
 from delaycomp.sim import (
     CONTROLLERS,
@@ -24,7 +25,6 @@ from delaycomp.sim import (
     _LIFT_COLS,
     _SCAN_BLOCK,
     _block_length,
-    _discretize,
     compute_metrics,
     matched_gain,
     run,
@@ -150,7 +150,7 @@ def same_bits(x, y):
 
 
 class TestDiscretize:
-    """_discretize is the public pair (zoh_discretize, matched_gain) without
+    """Scenario.loop is the public pair (zoh_discretize, matched_gain) without
     zoh_discretize's checks, which the Scenario's plant already ran."""
 
     def test_diagonal_loops_match_public_pair(self, monkeypatch):
@@ -179,10 +179,10 @@ class TestDiscretize:
                     want = step + (matched_gain(plant, sc.gain.K, dt, step),)
                 except ValueError as exc:
                     with pytest.raises(type(exc)):
-                        _discretize(sc)
+                        sc.loop
                     counts["raised"] += 1
                     continue
-                got = _discretize(sc)
+            got = sc.loop  # under the loop's own errstate: no warning fails the test
             assert all(map(same_bits, got, want)), (a, b, k, dt)
             counts["same"] += 1
             counts["kept K"] += got[2] is sc.gain.K  # Bd singular by solve's rule
@@ -194,7 +194,7 @@ class TestDiscretize:
         sc = robot_scenario("nodelay")
         want = zoh_discretize(sc.plant.A, sc.plant.B, sc.dt) + (matched_gain(sc.plant, sc.gain.K, sc.dt),)
         monkeypatch.setattr(sim, "zoh_discretize", None)
-        assert all(map(same_bits, _discretize(sc), want))
+        assert all(map(same_bits, sc.loop, want))
 
 
 class TestRun:
@@ -895,18 +895,65 @@ class TestMetrics:
         assert m.diverged and not m.settled and m.settling_time is None
 
 
+def far_setpoint_scenario(controller):
+    """A run that stays near x0 = 1.7e308 while x* = -1.7e308: the initial
+    offset, and every state's distance to x*, overflows to inf."""
+    plant = LtiPlant(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
+    return Scenario(plant=plant, gain=Gain(np.array([[-1e-10]])), setpoint=Setpoint([-1.7e308], [0.0]),
+                    controller=controller, x0=np.array([1.7e308]), dt=0.01, T=1.0, divergence_threshold=math.inf)
+
+
+class TestFarSetpoint:
+    @pytest.mark.parametrize("controller", ["nodelay", "naive"])
+    def test_not_settled(self, controller):
+        # an infinite initial offset leaves no 2% band: a run that never comes
+        # near x* is not settled at t = 0
+        traj, metrics = run(far_setpoint_scenario(controller))
+        assert (traj.status, len(traj.t)) == ("completed", 101)
+        assert np.all(traj.states > 1.69e308)
+        assert (metrics.settled, metrics.settling_time, metrics.max_excursion) == (False, None, math.inf)
+
+    def test_metrics_raise_no_warning(self):
+        # the metrics' distances to x* overflow under run's errstate, and under compute_metrics's own
+        sc = far_setpoint_scenario("nodelay")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, metrics = run(sc)
+            [(_, m_naive, m_pred)] = sweep_delay(sc, [0.05])
+            public = compute_metrics(traj, sc.setpoint, sc.x0)
+        assert public == metrics and not (m_naive.settled or m_pred.settled)
+
+
 class TestSharedDiscretization:
     """Runs that differ only in delay or controller share one (Ad, Bd, Kd)."""
 
     @pytest.mark.parametrize("controller", CONTROLLERS)
     @pytest.mark.parametrize("e_max", [None, 0.6])
     def test_shared_equals_own(self, controller, e_max):
+        # a run on a kept loop, or on one set from another scenario as sweep_delay sets it, equals a run
+        # of a fresh copy, which forms its own
         sc = replace(robot_scenario(controller), e_max=e_max)
-        shared = _discretize(robot_scenario("naive", h=1.0))
-        own, _ = run(sc)
-        given, _ = run(sc, _shared=shared)
-        for name in ("states", "controls", "predictions"):
-            np.testing.assert_array_equal(getattr(given, name), getattr(own, name))
+        sc.loop
+        shared = replace(sc)
+        object.__setattr__(shared, "loop", robot_scenario("naive", h=1.0).loop)
+        fresh = replace(sc)
+        assert "loop" in vars(sc) and "loop" not in vars(fresh)
+        own, _ = run(fresh)
+        for traj, _ in (run(sc), run(shared)):
+            for name in ("t", "states", "controls", "predictions"):
+                assert same_bits(getattr(traj, name), getattr(own, name)), name
+
+    def test_loop_formed_once(self, monkeypatch, tmp_path):
+        # every binding of matched_gain is counted, as perfbench's tracer counts it
+        calls, gain = [], sim.matched_gain
+        for module in (sim, cli):
+            monkeypatch.setattr(module, "matched_gain", lambda *args: calls.append(args) or gain(*args), raising=False)
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "robot.cfg"
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert len(calls) == 1  # build_scenario forms the loop, and its run keeps it
+        calls.clear()
+        assert len(sweep_delay(scalar_scenario("naive", h=0.1, T=3.0), [0.0, 0.05, 0.15])) == 3
+        assert len(calls) == 1
 
     def test_sweep_equals_separate_runs(self):
         base = scalar_scenario("naive", h=0.1, T=30.0)

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycomp.smallmat import (
+    MAX_DIM,
     SingularMatrixError,
+    as_matrix,
+    as_vector,
     is_diagonal,
     is_hurwitz,
     mat_exp,
@@ -293,3 +296,18 @@ class TestSolve:
         m, b = np.array([[0.0, 2.0], [1.0, 1.0]]), np.array([2.0, 3.0])
         np.testing.assert_allclose(solve(m, b), [2.0, 1.0])
         assert m.tolist() == [[0.0, 2.0], [1.0, 1.0]] and b.tolist() == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: zoh_discretize(np.eye(2), np.ones((3, 1)), 0.1), "B row count 3"),
+    (lambda: zoh_discretize(np.eye(2), np.array([[1.0], [np.inf]]), 0.1), "B has non-finite"),
+    (lambda: as_matrix(np.ones((2, 3))), "must be square"),
+    (lambda: as_matrix(np.ones(3)), "must be square"),
+    (lambda: as_matrix(np.eye(MAX_DIM + 1)), f"dimension {MAX_DIM + 1} outside"),
+    (lambda: as_vector(np.ones((2, 1))), "must be 1-dimensional"),
+    (lambda: mat_exp(np.ones((2, 3))), "square matrix"),
+    (lambda: mat_exp(np.eye(2), np.ones((2, 2))), "scalar or 1-D"),
+])
+def test_boundary_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
