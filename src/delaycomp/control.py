@@ -115,13 +115,16 @@ def equilibrium_input(plant: LtiPlant, x_star) -> np.ndarray:
 
 
 def make_setpoint(plant: LtiPlant, x_star) -> Setpoint:
-    """Build a validated setpoint from the target state."""
-    x_star = as_vector(x_star, plant.n, "x_star")
-    u_star = equilibrium_input(plant, x_star)
-    residual = np.linalg.norm(plant.A @ x_star + plant.B @ u_star, np.inf)
-    if residual > 1e-10 * (1.0 + np.linalg.norm(x_star, np.inf)):
+    """Build a validated setpoint from the target state. ValueError unless the residual
+    ||A x* + B u*|| is at most 1e-10 (||A|| ||x*|| + ||B|| ||u*||), in inf-norms: the rule scales with
+    the two products, whose rounding it bounds on a stiff plant too, and a NaN residual fails it."""
+    sp = Setpoint(x_star, equilibrium_input(plant, x_star))
+    norm = lambda a: float(np.linalg.norm(a, np.inf))  # a Python float: a product past the range is inf
+    residual = norm(plant.A @ sp.x_star + plant.B @ sp.u_star)
+    # 0 passes unscaled: a norm past the float range times a zero x* or u* would be NaN
+    if residual and not residual <= 1e-10 * (norm(plant.A) * norm(sp.x_star) + norm(plant.B) * norm(sp.u_star)):
         raise ValueError(f"steady-state identity violated, residual {residual:g}")
-    return Setpoint(x_star, u_star)
+    return sp
 
 
 def origin_setpoint(plant: LtiPlant) -> Setpoint:

@@ -269,7 +269,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
             h=plant.h,
             controller=scenario.controller,
         )
-        return traj, _metrics(traj, sp, scenario.x0)
+        return traj, compute_metrics(traj, sp)
 
 
 def _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, e_max):
@@ -374,10 +374,9 @@ def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):
     A, dt, x_star, u_star = scenario.plant.A, scenario.dt, scenario.setpoint.x_star, scenario.setpoint.u_star
     e_max, N, exp_h, Bd, pdot = scenario.e_max, pred.depth, pred.exp_h, pred.Bd, plant_map.dot
     block, n = _block_length(A, dt), len(A)
-    # factors at times from the block start; e^{A L dt} moves z on. At L = 1 every step is a block's
-    # last, and the input factor, which overflows once ||A||_inf dt passes about 709, is not formed
-    t = dt * np.arange(block + 1)
-    exp_t, z_gain = _zform_factors(A, scenario.plant.B, dt, t) if block > 1 else (mat_exp(A, t), None)
+    # factors at times from the block start; e^{A L dt} moves z on. At L = 1 every step is a block's last,
+    # so the input factor, which overflows (under run's errstate) once ||A||_inf dt passes about 709, is not read
+    exp_t, z_gain = _zform_factors(A, scenario.plant.B, dt, dt * np.arange(block + 1))
     move = exp_t[block]
     z = np.zeros((N + len(predictions) + 1, n))
     offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
@@ -463,40 +462,29 @@ def _peaks(columns) -> np.ndarray:
     return reduce(np.maximum, map(np.abs, columns))
 
 
-def compute_metrics(traj: Trajectory, setpoint: Setpoint, x0) -> Metrics:
-    """Settling (2% band on the inf-norm of the initial offset) and prediction-pair accuracy."""
+def compute_metrics(traj: Trajectory, setpoint: Setpoint) -> Metrics:
+    """Settling (2% band on the inf-norm of the initial offset, the first recorded state's from x*, which is a
+    run's x0) and prediction-pair accuracy. An empty trajectory has offset 0 and is settled at t = 0."""
     with np.errstate(over="ignore", invalid="ignore"):  # as in run: an overflow reads as inf or NaN
-        return _metrics(traj, setpoint, as_vector(x0, len(setpoint.x_star), "x0"))
-
-
-def _metrics(traj: Trajectory, setpoint: Setpoint, x0: np.ndarray) -> Metrics:
-    """:func:`compute_metrics` for an ``x0`` already validated (a Scenario's)."""
-    diverged = traj.status == "diverged"
-    err = _peaks(col - x for col, x in zip(traj.states.T, setpoint.x_star))
-    max_excursion = float(err.max()) if len(err) else 0.0
-
-    offset0 = max(map(abs, (x0 - setpoint.x_star).tolist()))
-    if diverged or not math.isfinite(offset0):  # an infinite offset leaves no band to settle in
-        settled, settling_time = False, None
-    elif offset0 == 0.0:
-        settled, settling_time = True, 0.0
-    else:
-        band = 0.02 * offset0
-        violations = np.nonzero(err > band)[0]
-        if len(violations) == 0:
-            settled, settling_time = True, 0.0
-        elif violations[-1] == len(err) - 1:
+        diverged = traj.status == "diverged"
+        err = _peaks(col - x for col, x in zip(traj.states.T, setpoint.x_star))
+        max_excursion, offset0 = (float(err.max()), float(err[0])) if len(err) else (0.0, 0.0)
+        if diverged or not math.isfinite(offset0):  # an infinite offset leaves no band to settle in
             settled, settling_time = False, None
-        else:
-            settled, settling_time = True, float(traj.t[violations[-1] + 1])
+        elif offset0 == 0.0:
+            settled, settling_time = True, 0.0
+        else:  # row 0 is outside the band, so some row is
+            after = int(np.nonzero(err > 0.02 * offset0)[0][-1]) + 1
+            settled = after < len(err)
+            settling_time = float(traj.t[after]) if settled else None
 
-    max_prediction_error = None
-    if traj.controller in ("predictor-zform", "predictor-window"):
-        n_delay = delay_steps(traj.h, traj.dt)
-        pairs = len(traj.states) - n_delay
-        if pairs > 0:  # none on a run that ends before h
-            issued, realized = traj.predictions[:pairs].T, traj.states[n_delay:].T
-            max_prediction_error = float(np.max(_peaks(p - x for p, x in zip(issued, realized))))
+        max_prediction_error = None
+        if traj.controller in ("predictor-zform", "predictor-window"):
+            n_delay = delay_steps(traj.h, traj.dt)
+            pairs = len(traj.states) - n_delay
+            if pairs > 0:  # none on a run that ends before h
+                issued, realized = traj.predictions[:pairs].T, traj.states[n_delay:].T
+                max_prediction_error = float(np.max(_peaks(p - x for p, x in zip(issued, realized))))
     return Metrics(
         settled=settled,
         settling_time=settling_time,

@@ -211,6 +211,18 @@ class TestRunCommand:
         expected = pose_oracle(np.column_stack([data["v"], data["omega"]])[:-1], 0.01)
         np.testing.assert_allclose(poses, expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("controller", ["nodelay", "naive", "predictor-zform", "predictor-window"])
+    def test_stiff_setpoint(self, tmp_path, controller):
+        # u* = 7e6 / 0.3 holds v* = 0.7 against friction_v = 1e7: the residual's rounding, about
+        # 9e-10, is within make_setpoint's rule, which scales with ||A|| ||x*|| + ||B|| ||u*||
+        cfg = write_config(tmp_path, robot_cfg({"friction_v": 1e7, "gain_force": 0.3, "v_ref": 0.7}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--controller", controller, "--out-dir", str(out)]) == EXIT_OK
+        fields = dict(line.split(" = ") for line in (out / f"{controller}.metrics.txt").read_text().splitlines())
+        assert fields["settled"] == "true"
+        if controller.startswith("predictor"):
+            assert float(fields["max_prediction_error"]) <= 1e-9
+
     def test_config_file_closed(self, tmp_path):
         cfg = write_config(tmp_path, extra="horizon = 1\n")
         with warnings.catch_warnings(record=True) as caught:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaycomp import control
 from delaycomp.control import (
     Gain,
     Predictor,
@@ -87,6 +88,17 @@ class TestEquilibrium:
         sp = make_setpoint(ROBOT, [1.0, 0.5])
         residual = ROBOT.A @ sp.x_star + ROBOT.B @ sp.u_star
         assert np.linalg.norm(residual, np.inf) <= 1e-10
+
+    def test_make_setpoint_origin_past_float_range(self):
+        # a row of |A| sums past the float range; x* = 0 has u* = 0 and a zero residual, which passes
+        plant = LtiPlant(np.array([[1e308, 1e308], [0.0, -1.0]]), np.eye(2), 0.0)
+        assert make_setpoint(plant, [0.0, 0.0]).u_star.tolist() == [0.0, 0.0]
+
+    def test_make_setpoint_rejects_wrong_input(self, monkeypatch):
+        # u* = (0.5, 0.25) holds the robot at (1, 0.5); one off by 1e-8 relative fails the residual check
+        monkeypatch.setattr(control, "equilibrium_input", lambda plant, x: np.array([0.5, 0.25 * (1 + 1e-8)]))
+        with pytest.raises(ValueError, match="steady-state identity violated"):
+            make_setpoint(ROBOT, [1.0, 0.5])
 
 
 def loop_scenario(plant, controller, dt, T, x0, ref=None, K=None):
