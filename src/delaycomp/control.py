@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .robot import LtiPlant
-from .smallmat import as_vector, is_diagonal, is_hurwitz, mat_exp, solve, zoh_discretize
+from .smallmat import as_vector, is_diagonal, is_hurwitz, mat_exp, solve
 
 class UnsupportedStructureError(ValueError):
     """Plant structure outside what the closed-form design handles."""
@@ -147,16 +147,16 @@ class Predictor:
     """Exact h-second-ahead state forecast for one plant and sample period,
     in the window form e^{A N dt} x + G w, w the last N applied controls,
     oldest first: ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step
-    discretization (or ``step``), ``exp_h`` = e^{A N dt} and ``G`` =
+    discretization ``step``, ``exp_h`` = e^{A N dt} and ``G`` =
     [e^{A (N-1) dt} Bd ... Bd], every exponential from its own grid time in
     one batched call, so none has an argument past h. A forecast costs two
     matrix-vector products. It is linear in (x, u), so it applies unchanged
     to deviations from an equilibrium. The z form reads ``exp_h`` alone.
     """
 
-    def __init__(self, plant: LtiPlant, dt: float, step=None):
+    def __init__(self, plant: LtiPlant, dt: float, step: tuple[np.ndarray, np.ndarray]):
         self.depth = N = delay_steps(plant.h, dt)
-        self.Ad, self.Bd = step or zoh_discretize(plant.A, plant.B, dt)
+        self.Ad, self.Bd = step
         exps = mat_exp(plant.A, dt * np.arange(N + 1))
         self.exp_h = exps[N]
         self.G = (exps[:N] @ self.Bd)[::-1].transpose(1, 0, 2).reshape(plant.n, N * plant.m_in)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .control import Gain, Predictor, Setpoint, delay_steps
 from .robot import LtiPlant
-from .smallmat import SingularMatrixError, as_vector, is_diagonal, mat_exp, solve, zoh_discretize, zoh_unchecked
+from .smallmat import SingularMatrixError, as_vector, is_diagonal, mat_exp, solve, zoh_unchecked
 
 CONTROLLERS = ("nodelay", "naive", "predictor-zform", "predictor-window")
 
@@ -29,6 +29,8 @@ _SCAN_BLOCK = 128
 # _LIFT_BYTES of record windows; a run whose blocks would be shorter than
 # _LIFT_MIN steps is not lifted, as such blocks measured no faster than steps.
 _LIFT_COLS, _LIFT_BYTES, _LIFT_MIN = 256, 1 << 24, 16
+# A lifted block map whose defect (``_defect``) is at most this takes one pass per block, not two.
+_ONE_PASS_DEFECT = 2.0 ** -40
 # Bytes of input windows that one product of the forecast fill copies; kept
 # well under a run's memory, as the copy adds to its peak.
 _FILL_BYTES = 1 << 19
@@ -114,14 +116,14 @@ class Metrics:
     diverged: bool
 
 
-def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float, step=None) -> np.ndarray:
+def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float, step: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Discrete-matched feedback gain Kd for the sampling period ``dt``, which solves
     Bd Kd = e^{(A + B K) dt} - Ad (so Ad + Bd Kd = e^{(A + B K) dt}, and Kd -> K as dt -> 0),
-    with the plant's (Ad, Bd) from ``step`` when given. K when Bd is not square or is singular by
+    with the plant's (Ad, Bd) from ``step``. K when Bd is not square or is singular by
     :func:`solve`'s rule; ValueError when Bd or the target is not finite. For A + B K = diag(r) and a
     non-singular Bd = diag(bd) (the robot), Kd = (diag(e^{r dt}) - Ad) / bd by rows, with no mat_exp or solve.
     """
-    Ad, Bd = step or zoh_discretize(plant.A, plant.B, dt)
+    Ad, Bd = step
     K = np.asarray(K, dtype=float)
     if Bd.shape[0] != Bd.shape[1]:
         return K
@@ -156,11 +158,12 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
 
     The rows go in blocks. Each kind of stepping has a helper that builds its
     maps once per run and returns a stepper: ``_fold`` and ``_lift`` step
-    whole blocks of unclipped runs (at lag 0 and at lag N >= 1), ``_steps``
-    and ``_zform`` one step at a time. Whole blocks are checked in spans,
-    which double from one block while every check passes (a lag-0 run is one
-    block): a span stands if its controls are finite and its states, rows k0
-    to k1, are within the limit. A failed span is cleared from the block that
+    whole blocks of unclipped runs (at lag 0 and at lag N >= 1, in one pass
+    per block, or two where the block map is not an inverse to rounding),
+    ``_steps`` and ``_zform`` one step at a time. Whole blocks are checked in
+    spans, which double from one block while every check passes (a lag-0 run
+    is one block): a span stands if its controls are finite and its states,
+    rows k0 to k1, are within the limit. A failed span is cleared from the block that
     wrote its first failing row and stepped again, by ``_steps`` from the
     ``_SCAN_BLOCK`` window holding that row and in blocks after it; so no
     failing lifted block is lifted twice, and a run lifts at most about twice
@@ -322,11 +325,14 @@ def _lift(rec, control_map, plant_map, L, N):
     M = (I - T)^{-1} is block Toeplitz; its first block column comes by
     doubling: with P_K the inverse over K blocks, the next K are
     P_K T[K:2K, :K] p_{:K}. The stepper walks rows k0..k1 in blocks of L from
-    k0, and adds M times each block's residuals into its slots twice, from
-    slots still 0 and once more to refine them, which keeps the rounding near
-    the per-step loop's. Only the per-step maps enter, never powers of the
-    closed loop, so the pair-error checks and the delayed-equals-shifted
-    identity do not depend on how the states are computed."""
+    k0, and adds M times each block's residuals into its slots, which start
+    at 0. A map whose defect (``_defect``) is at the rounding level does this
+    once; any other does it once more from the slots so written, a step of
+    iterative refinement, which keeps the rounding near the per-step loop's
+    where M is not an inverse of I - T to rounding. Only the per-step maps
+    enter, never powers of the closed loop, so the pair-error checks and the
+    delayed-equals-shifted identity do not depend on how the states are
+    computed."""
     (n, d), steps = plant_map.shape, len(rec) - 1 - N
     b = d - 1
     L = min(L, steps + 1, _LIFT_COLS // b, _LIFT_BYTES // (8 * (N + 1) * d))
@@ -350,14 +356,41 @@ def _lift(rec, control_map, plant_map, L, N):
         K += k
     M, res_map = _toeplitz(p, L, L), res_map.T
     slots = (own + d * np.arange(L)[:, None]).reshape(-1)
+    passes = range(1 if _defect(tau, p, N) <= _ONE_PASS_DEFECT else 2)  # a NaN defect keeps two
 
     def step(k0, k1):
         for a in range(k0, k1, L):  # blocks of L rows from k0
             rows = min(L, k1 - a)
             win, at, block_map = wide[a:a + rows], slots[:rows * b] + a * d, M[:rows * b, :rows * b]
-            for _ in range(2):  # the block's slots start at 0: pass 1 solves, pass 2 refines
+            for _ in passes:  # the block's slots start at 0: pass 1 solves, pass 2 (if any) refines
                 np.add.at(flat, at, block_map.dot(win.dot(res_map).reshape(-1)))
     return L, step
+
+
+def _defect(tau: np.ndarray, p: np.ndarray, N: int) -> float:
+    """||(I - T) M - I||_inf for ``_lift``'s block map M over L blocks, from
+    its taps ``tau`` (tau_e at row e) and first block column ``p`` (p_l at
+    row L - 1 + l, zeros before). The defect is block lower Toeplitz with
+    blocks D_l = p_l - sum_{e=1..K} tau_e p_{l-e}, K = min(N, L - 1), so its
+    norm is the largest row sum of |D_1| .. |D_{L-1}|. Item l - 1 of one
+    stacked product is [tau_K .. tau_1] times the K blocks of ``p`` before
+    p_l, a view; nothing of M's size is formed.
+
+    One pass sets a block's unknowns to y = M g, g the residuals from slots
+    at 0, which leaves the residual g - (I - T) y = -E g, E the defect; a
+    second pass removes it to first order. The doubling forms M in
+    ceil(log2 L) <= 7 rounds (L <= ``_SCAN_BLOCK``) of products of at most
+    ``_LIFT_COLS`` = 2^8 terms, so an M that is an inverse of I - T to
+    rounding has ||E|| up to about 7 * 2^8 * 2^-53 ||(|I - T| |M|)|| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 3): below 2^-42
+    where |I - T| |M| is of size 1. ``_ONE_PASS_DEFECT`` = 2^-40 allows 4
+    times that. A larger defect comes from a large |M|, as on a loop mode at
+    -1, which no block damps; such a map keeps its second pass."""
+    L, b = (len(p) + 1) // 2, p.shape[1]
+    K = min(N, L - 1)
+    taps = tau[K:0:-1].transpose(1, 0, 2).reshape(b, K * b)
+    before = np.ndarray((L - 1, K * b, b), p.dtype, p, (L - K) * p.strides[0], p.strides)
+    return float(np.abs(p[L:] - np.matmul(taps, before)).sum(axis=(0, 2)).max())
 
 
 def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):

@@ -124,10 +124,10 @@ def run_oracle(scenario):
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n = scenario.dt, plant.n
     steps = round(scenario.T / dt)
-    pred = Predictor(plant, dt)
+    pred = Predictor(plant, dt, zoh_discretize(plant.A, plant.B, dt))
     N, Ad, Bd = pred.depth, pred.Ad, pred.Bd
     lag = 0 if controller == "nodelay" else N
-    Kd = matched_gain(plant, scenario.gain.K, dt)
+    Kd = matched_gain(plant, scenario.gain.K, dt, (Ad, Bd))
     gamma = zoh_discretize(-plant.A, plant.B, dt)[1]
     x_star, u_star, e_max = sp.x_star, sp.u_star, scenario.e_max
     limit = min(scenario.divergence_threshold, np.finfo(float).max)

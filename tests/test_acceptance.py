@@ -15,7 +15,7 @@ from delaycomp import cli
 from delaycomp.control import Gain, Predictor, design_gain, make_setpoint, origin_setpoint
 from delaycomp.robot import LtiPlant, RobotParams, params_to_lti
 from delaycomp.sim import Scenario, run, sweep_delay
-from delaycomp.smallmat import is_hurwitz, mat_exp
+from delaycomp.smallmat import is_hurwitz, mat_exp, zoh_discretize
 
 from conftest import random_matrix, rk4_zoh_oracle, window_forecast
 
@@ -76,7 +76,7 @@ def test_criterion_2_prediction_exactness():
             plant = LtiPlant(a, b, depth * dt)
             holds = rng.uniform(-1.0, 1.0, (depth, n))
             x = rng.uniform(-1.0, 1.0, n)
-            predicted = window_forecast(Predictor(plant, dt), x, holds)
+            predicted = window_forecast(Predictor(plant, dt, zoh_discretize(a, b, dt)), x, holds)
             reference = rk4_zoh_oracle(a, b, x, holds, dt, substeps=1000)
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(predicted - reference)) <= 1e-9 * scale

@@ -154,7 +154,7 @@ class TestDelayLine:
         assert delay_steps(0.3, 0.001) == 300
         with pytest.raises(ValueError, match="multiple"):
             delay_steps(0.25, 0.1)
-        assert Predictor(ROBOT, 0.01).depth == 30
+        assert Predictor(ROBOT, 0.01, zoh_discretize(ROBOT.A, ROBOT.B, 0.01)).depth == 30
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 30))
@@ -166,7 +166,7 @@ class TestDelayLine:
         sc = loop_scenario(plant, "predictor-window", dt, steps * dt, [0.5], ref=[0.2])
         traj, _ = run(sc)
         record = control_record(sc, traj)
-        pred = Predictor(plant, dt)
+        pred = Predictor(plant, dt, zoh_discretize(plant.A, plant.B, dt))
         for k in range(len(traj.t)):
             np.testing.assert_allclose(window_forecast(pred, traj.states[k], record[k:k + depth]),
                                        traj.predictions[k], rtol=1e-14, atol=1e-15)
@@ -175,12 +175,14 @@ class TestDelayLine:
 class TestPredictState:
     def test_zero_delay(self):
         plant = scalar_plant(-1.0, 1.0, 0.0)
-        out = window_forecast(Predictor(plant, 0.1), np.array([1.0]), np.empty((0, 1)))
+        pred = Predictor(plant, 0.1, zoh_discretize(plant.A, plant.B, 0.1))
+        out = window_forecast(pred, np.array([1.0]), np.empty((0, 1)))
         assert out[0] == 1.0
 
     def test_zero_history_is_homogeneous(self):
         plant = LtiPlant(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0]), 0.3)
-        out = window_forecast(Predictor(plant, 0.05), np.array([1.0, 1.0]), np.zeros((6, 2)))
+        pred = Predictor(plant, 0.05, zoh_discretize(plant.A, plant.B, 0.05))
+        out = window_forecast(pred, np.array([1.0, 1.0]), np.zeros((6, 2)))
         expected = mat_exp(plant.A, 0.3) @ np.array([1.0, 1.0])
         np.testing.assert_allclose(out, expected, rtol=1e-13)
 
@@ -188,14 +190,16 @@ class TestPredictState:
         h = math.log(2.0)
         n = 8
         plant = scalar_plant(-1.0, 1.0, h)
-        out = window_forecast(Predictor(plant, h / n), np.array([1.0]), np.full((n, 1), 2.0))
+        pred = Predictor(plant, h / n, zoh_discretize(plant.A, plant.B, h / n))
+        out = window_forecast(pred, np.array([1.0]), np.full((n, 1), 2.0))
         assert out[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_mismatched_history(self):
         # the window length comes from (plant, dt), so a delay that no whole
         # number of samples covers is rejected when the predictor is built
+        plant = scalar_plant(-1.0, 1.0, 0.25)
         with pytest.raises(ValueError, match="multiple"):
-            Predictor(scalar_plant(-1.0, 1.0, 0.25), 0.1)
+            Predictor(plant, 0.1, zoh_discretize(plant.A, plant.B, 0.1))
 
     def test_exact_against_brute_force(self, rng):
         for _ in range(10):
@@ -207,7 +211,7 @@ class TestPredictState:
             plant = LtiPlant(a, b, depth * dt)
             holds = rng.uniform(-1.0, 1.0, (depth, n))
             x = rng.uniform(-1.0, 1.0, n)
-            predicted = window_forecast(Predictor(plant, dt), x, holds)
+            predicted = window_forecast(Predictor(plant, dt, zoh_discretize(a, b, dt)), x, holds)
             reference = rk4_zoh_oracle(a, b, x, holds, dt, substeps=200)
             np.testing.assert_allclose(predicted, reference, rtol=1e-9, atol=1e-12)
 
@@ -222,7 +226,7 @@ class TestPredictState:
         else:
             a, b = np.array([[0.3, 20.0], [0.0, 0.3]]), np.array([[0.0], [1.0]])
         dt = 0.01
-        pred = Predictor(LtiPlant(a, b, depth * dt), dt)
+        pred = Predictor(LtiPlant(a, b, depth * dt), dt, zoh_discretize(a, b, dt))
         (n, m), block = b.shape, pred.Bd
         expected = np.empty((n, depth * m))
         for i in reversed(range(depth)):
@@ -236,7 +240,8 @@ class TestPredictState:
 class TestRegulator:
     def test_fixed_point_at_setpoint(self):
         sp = make_setpoint(ROBOT, [1.0, 0.5])
-        out = window_forecast(Predictor(ROBOT, 0.01), sp.x_star, np.tile(sp.u_star, (30, 1)))
+        pred = Predictor(ROBOT, 0.01, zoh_discretize(ROBOT.A, ROBOT.B, 0.01))
+        out = window_forecast(pred, sp.x_star, np.tile(sp.u_star, (30, 1)))
         np.testing.assert_allclose(out, sp.x_star, atol=1e-12)
         traj, _ = run(loop_scenario(ROBOT, "predictor-window", 0.01, 0.5, sp.x_star, ref=sp.x_star))
         np.testing.assert_allclose(traj.controls, np.tile(sp.u_star, (len(traj.t), 1)), atol=1e-12)
@@ -257,7 +262,7 @@ class TestRegulator:
         sc = loop_scenario(plant, "predictor-window", h / 8, h, [1.0], ref=[2.0], K=K)
         traj, _ = run(sc)
         assert traj.predictions[0, 0] == pytest.approx(1.5, abs=1e-12)
-        kd = matched_gain(plant, K, sc.dt)[0, 0]
+        kd = matched_gain(plant, K, sc.dt, zoh_discretize(plant.A, plant.B, sc.dt))[0, 0]
         assert traj.controls[0, 0] == pytest.approx(2.0 - 0.5 * kd, abs=1e-12)
 
     def test_step_scalar_integral(self):
@@ -290,7 +295,7 @@ class TestRegulator:
         # step as in the run loop, and check their forecasts coincide
         plant = LtiPlant(np.array([[-1.0, 0.5], [0.0, 0.3]]), np.array([[1.0], [0.5]]), 0.2)
         dt, steps = 0.05, 40
-        pred = Predictor(plant, dt)
+        pred = Predictor(plant, dt, zoh_discretize(plant.A, plant.B, dt))
         depth = pred.depth
         record = np.zeros((depth + steps, 1))
         record[depth:] = rng.uniform(-1.0, 1.0, (steps, 1))
@@ -307,7 +312,7 @@ class TestRegulator:
         # plain state feedback through the discrete-matched gain, ignoring the delay
         sc = loop_scenario(ROBOT, "naive", 0.01, 1.0, [0.0, 0.0], ref=[1.0, 0.5])
         traj, _ = run(sc)
-        kd = matched_gain(ROBOT, sc.gain.K, sc.dt)
+        kd = matched_gain(ROBOT, sc.gain.K, sc.dt, zoh_discretize(ROBOT.A, ROBOT.B, sc.dt))
         expected = sc.setpoint.u_star + (traj.states - sc.setpoint.x_star) @ kd.T
         np.testing.assert_allclose(traj.controls, expected, atol=1e-15)
         zero_gain = Scenario(plant=sc.plant, gain=Gain(np.zeros((2, 2))), setpoint=sc.setpoint,

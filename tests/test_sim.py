@@ -15,7 +15,7 @@ from delaycomp.control import (
     make_setpoint,
     origin_setpoint,
 )
-from delaycomp import cli, sim
+from delaycomp import cli, sim, smallmat
 from delaycomp.robot import LtiPlant, params_to_lti, RobotParams
 from delaycomp.sim import (
     CONTROLLERS,
@@ -92,31 +92,32 @@ class TestMatchedGain:
         plant = params_to_lti(ROBOT_PARAMS, 0.3)
         K = design_gain(plant, [-5.0, -5.0]).K
         dt = 0.01
-        kd = matched_gain(plant, K, dt)
-        ad, bd = zoh_discretize(plant.A, plant.B, dt)
+        ad, bd = step = zoh_discretize(plant.A, plant.B, dt)
+        kd = matched_gain(plant, K, dt, step)
         np.testing.assert_allclose(ad + bd @ kd, mat_exp(plant.A + plant.B @ K, dt), atol=1e-14)
 
     def test_converges_to_design_gain(self):
         plant = params_to_lti(ROBOT_PARAMS, 0.0)
         K = design_gain(plant, [-5.0, -5.0]).K
         for dt, tol in ((1e-3, 1e-1), (1e-5, 1e-3)):
-            assert np.max(np.abs(matched_gain(plant, K, dt) - K)) < tol
+            assert np.max(np.abs(matched_gain(plant, K, dt, zoh_discretize(plant.A, plant.B, dt)) - K)) < tol
 
     def test_non_square_input_keeps_design_gain(self):
         K = np.array([[-2.0, -3.0]])
-        np.testing.assert_array_equal(matched_gain(SINGLE_INPUT, K, 0.01), K)
+        step = zoh_discretize(SINGLE_INPUT.A, SINGLE_INPUT.B, 0.01)
+        np.testing.assert_array_equal(matched_gain(SINGLE_INPUT, K, 0.01, step), K)
 
     def test_singular_input_keeps_design_gain(self):
         plant = LtiPlant(SINGLE_INPUT.A, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.2)
         K = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matched_gain(plant, K, 0.01), K)
+        np.testing.assert_array_equal(matched_gain(plant, K, 0.01, zoh_discretize(plant.A, plant.B, 0.01)), K)
 
     def test_overflowing_diagonal_loop_raises(self):
         # e^{(A + B K) dt} overflows: the diagonal path leaves the loop to
         # solve, which rejects the non-finite right-hand side
         plant = LtiPlant(np.eye(2), np.eye(2), 0.0)
         with np.errstate(over="ignore"), pytest.raises(ValueError):
-            matched_gain(plant, np.diag([1000.0, 0.0]), 1.0)
+            matched_gain(plant, np.diag([1000.0, 0.0]), 1.0, zoh_discretize(plant.A, plant.B, 1.0))
 
     def test_diagonal_loop_matches_solve(self, rng):
         # a diagonal Bd and A + B K give Kd entry by entry; it must be the
@@ -131,16 +132,16 @@ class TestMatchedGain:
             k = (-rng.uniform(0.5, 6.0, n) - a) / b
             loops.append((LtiPlant(np.diag(a), np.diag(b), 0.0), np.diag(k), float(dt)))
         for plant, K, dt in loops:
-            ad, bd = zoh_discretize(plant.A, plant.B, dt)
+            ad, bd = step = zoh_discretize(plant.A, plant.B, dt)
             expected = np.linalg.solve(bd, mat_exp(plant.A + plant.B @ K, dt) - ad)
-            assert np.max(np.abs(matched_gain(plant, K, dt) - expected)) <= 1e-15 * np.max(np.abs(expected))
+            assert np.max(np.abs(matched_gain(plant, K, dt, step) - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_diagonal_singular_input_keeps_design_gain(self):
         # min |bd| < 1e-12 max |bd|: solve's singular rule holds on the
         # diagonal path too
         plant = LtiPlant(-np.eye(2), np.diag([1.0, 1e-14]), 0.0)
         K = np.diag([-1.0, 0.0])
-        np.testing.assert_array_equal(matched_gain(plant, K, 0.01), K)
+        np.testing.assert_array_equal(matched_gain(plant, K, 0.01, zoh_discretize(plant.A, plant.B, 0.01)), K)
 
 
 def same_bits(x, y):
@@ -160,7 +161,7 @@ class TestDiscretize:
         def counted(*args):
             checked.append(args)
             return public(*args)
-        monkeypatch.setattr(sim, "zoh_discretize", counted)
+        monkeypatch.setattr(smallmat, "zoh_discretize", counted)
         for i in range(600):
             n = i % 3 + 1
             a = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
@@ -192,8 +193,9 @@ class TestDiscretize:
 
     def test_robot_skips_zoh_checks(self, monkeypatch):
         sc = robot_scenario("nodelay")
-        want = zoh_discretize(sc.plant.A, sc.plant.B, sc.dt) + (matched_gain(sc.plant, sc.gain.K, sc.dt),)
-        monkeypatch.setattr(sim, "zoh_discretize", None)
+        step = zoh_discretize(sc.plant.A, sc.plant.B, sc.dt)
+        want = step + (matched_gain(sc.plant, sc.gain.K, sc.dt, step),)
+        monkeypatch.setattr(smallmat, "zoh_discretize", None)
         assert all(map(same_bits, sc.loop, want))
 
 
@@ -635,7 +637,7 @@ class TestReferenceLoop:
         dt = 0.01
         L = _block_length(plant.A, dt)
         K = np.array([[-8.0]])
-        j, kd = q * L - 1, abs(matched_gain(plant, K, dt)[0, 0])
+        j, kd = q * L - 1, abs(matched_gain(plant, K, dt, zoh_discretize(plant.A, plant.B, dt))[0, 0])
         x0 = np.finfo(float).max / kd * math.exp(-4.0 * dt * (j - 0.5))
         sc = Scenario(plant=plant, gain=Gain.for_plant(K, plant), setpoint=origin_setpoint(plant),
                       controller="naive", x0=np.array([x0]), dt=dt, T=20 * L * dt,
@@ -730,14 +732,83 @@ class TestReferenceLoop:
         # Ad + Bd K has eigenvalues 0.5 and -1: the -1 mode keeps every
         # rounding error of the 2000 steps. Lifted in blocks of L = 20 steps,
         # one pass of the block map ends 1e-11 of the run's scale from the
-        # reference loop at depth 5; the refining pass keeps it within the
-        # per-step loop's 2.5e-13
+        # reference loop at depth 5; that map's defect is past
+        # sim._ONE_PASS_DEFECT, so the gate keeps its refining pass, which
+        # keeps it within the per-step loop's 2.5e-13
         plant = LtiPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), depth * 0.05)
         sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-400.0, -40.0]]), plant),
                       setpoint=origin_setpoint(plant), controller="predictor-window",
                       x0=np.array([1.0, 0.0]), dt=0.05, T=100.0, divergence_threshold=math.inf)
         assert _block_length(plant.A, sc.dt) == 20
         traj, _ = run(sc)
+        assert_matches_oracle(traj, run_oracle(sc))
+
+
+class TestOnePassGate:
+    """sim._defect, the rule by which a lifted run takes one pass per block
+    (defect <= sim._ONE_PASS_DEFECT) or two, on the maps that runs build.
+    Each pinned map is at least 8 times from the constant, so that a BLAS
+    that rounds differently does not move it across."""
+
+    @staticmethod
+    def _defects(monkeypatch):
+        """The (defect, arguments) of each _defect call, in run order."""
+        seen, defect = [], sim._defect
+        monkeypatch.setattr(sim, "_defect", lambda *args: seen.append((defect(*args), args)) or seen[-1][0])
+        return seen
+
+    @staticmethod
+    def _dense_defect(tau, p, N):
+        """||(I - T) M - I||_inf with T and M written out block by block."""
+        L, b = (len(p) + 1) // 2, p.shape[1]
+        T, M = np.zeros((L * b, L * b)), np.zeros((L * b, L * b))
+        for i in range(L):
+            for s in range(i + 1):
+                M[i * b:(i + 1) * b, s * b:(s + 1) * b] = p[L - 1 + i - s]
+                if 1 <= i - s <= N:
+                    T[i * b:(i + 1) * b, s * b:(s + 1) * b] = tau[i - s]
+        return np.linalg.norm((np.eye(L * b) - T) @ M - np.eye(L * b), np.inf)
+
+    def test_marginal_loop_keeps_two_passes(self, monkeypatch):
+        # the marginal loop of TestReferenceLoop.test_marginal_loop_in_lifted_blocks at depth 5
+        plant = LtiPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), 0.25)
+        sc = Scenario(plant=plant, gain=Gain.for_plant(np.array([[-400.0, -40.0]]), plant),
+                      setpoint=origin_setpoint(plant), controller="predictor-window",
+                      x0=np.array([1.0, 0.0]), dt=0.05, T=100.0, divergence_threshold=math.inf)
+        seen = self._defects(monkeypatch)
+        run(sc)
+        [(defect, args)] = seen
+        assert defect >= 8 * sim._ONE_PASS_DEFECT
+        assert defect == pytest.approx(self._dense_defect(*args), rel=1e-3)
+
+    def test_margin_sweep_maps_take_one_pass(self, monkeypatch):
+        # the 42 runs of perfbench's margin-sweep: naive and window feedback
+        # on dx/dt = u(t - h), gain -8, at h = 0.05 .. 0.25 (N = 5 .. 25)
+        seen = self._defects(monkeypatch)
+        grid = [round(0.05 + 0.01 * i, 2) for i in range(21)]
+        sweep_delay(scalar_scenario("naive", h=0.05, T=25.0), grid)
+        assert len(seen) == 42
+        for defect, args in seen:
+            assert defect <= sim._ONE_PASS_DEFECT / 8
+            assert self._dense_defect(*args) <= sim._ONE_PASS_DEFECT / 8
+
+    @pytest.mark.parametrize("controller", ["naive", "predictor-window"])
+    @pytest.mark.parametrize("h", [0.3, 1.0])
+    def test_robot_maps_take_one_pass(self, monkeypatch, controller, h):
+        seen = self._defects(monkeypatch)
+        run(robot_scenario(controller, h=h))
+        [(defect, _)] = seen
+        assert defect <= sim._ONE_PASS_DEFECT / 8
+
+    def test_one_pass_run_matches_reference(self, monkeypatch):
+        # naive feedback at h = 1 s is past the robot's delay margin: the run
+        # is lifted in one pass per block until its state passes 1e6 at row 3516
+        seen = self._defects(monkeypatch)
+        sc = robot_scenario("naive", h=1.0, T=400.0)
+        traj, _ = run(sc)
+        [(defect, _)] = seen
+        assert defect <= sim._ONE_PASS_DEFECT / 8
+        assert (traj.status, len(traj.t)) == ("diverged", 3517)
         assert_matches_oracle(traj, run_oracle(sc))
 
 
@@ -769,7 +840,8 @@ class TestForecastControl:
     @staticmethod
     def _assert_feedback_of(sc, traj, fed):
         sp, e_max = sc.setpoint, sc.e_max
-        u = sp.u_star + (fed - sp.x_star) @ matched_gain(sc.plant, sc.gain.K, sc.dt).T
+        step = zoh_discretize(sc.plant.A, sc.plant.B, sc.dt)
+        u = sp.u_star + (fed - sp.x_star) @ matched_gain(sc.plant, sc.gain.K, sc.dt, step).T
         if e_max is not None:
             u = np.clip(u, -e_max, e_max)
             assert np.any(np.abs(traj.controls) == e_max)
@@ -793,8 +865,9 @@ class TestForecastControl:
         traj, _ = run(sc)
         assert traj.status == "diverged"
         assert not np.any(np.isnan(traj.predictions))
+        kd = matched_gain(plant, sc.gain.K, sc.dt, zoh_discretize(plant.A, plant.B, sc.dt))
         with np.errstate(over="ignore"):
-            u = np.clip(traj.predictions @ matched_gain(plant, sc.gain.K, sc.dt).T, -1.0, 1.0)
+            u = np.clip(traj.predictions @ kd.T, -1.0, 1.0)
         np.testing.assert_array_equal(traj.controls, u)
 
     @pytest.mark.parametrize("controller", ["naive", "nodelay"])
