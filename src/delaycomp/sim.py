@@ -160,22 +160,16 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     maps once per run and returns a stepper: ``_fold`` and ``_lift`` step
     whole blocks of unclipped runs (at lag 0 and at lag N >= 1, in one pass
     per block, or two where the block map is not an inverse to rounding),
-    ``_steps`` and ``_zform`` one step at a time. Whole blocks are checked in
-    spans, which double from one block while every check passes (a lag-0 run
-    is one block): a span stands if its controls are finite and its states,
-    rows k0 to k1, are within the limit. A failed span is cleared from the block that
-    wrote its first failing row and stepped again, by ``_steps`` from the
-    ``_SCAN_BLOCK`` window holding that row and in blocks after it; so no
-    failing lifted block is lifted twice, and a run lifts at most about twice
-    the rows a check per block would. Rows stepped one at a time are scanned
-    per block, and the run is cut where a per-step test would cut it: at the
+    ``_steps`` and ``_zform`` one step at a time. ``_schedule`` names the
+    spans of rows each stepper takes, and the rows to clear before them; its
+    docstring gives the span and re-step rules. ``run`` clears and steps each
+    span and checks it: a span of whole blocks stands if its controls are
+    finite and its states, rows k0 to k1, are within the limit. A span
+    stepped one at a time is cut where a per-step test would cut it: at the
     first state whose inf-norm exceeds the threshold or is not finite, as
-    diverged at that state's time; a non-finite state is not recorded. A fold
-    block that reaches an overflowing power of F fails on the first row that
-    uses it (0 * inf = NaN even on a zero state), and its later blocks stop at
-    the last finite power, so such a run steps at most one ``_SCAN_BLOCK`` of
-    rows one at a time. After the loop, the window form's forecasts are filled
-    in from the recorded states and inputs.
+    diverged at that state's time; a non-finite state is not recorded. After
+    the loop, the window form's forecasts are filled in from the recorded
+    states and inputs.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
@@ -226,29 +220,19 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
                 block, block_step = (_fold(rec, ctl_in, u_out, control_map, plant_map, Bd) if lag == 0 else
                                      _lift(rec, control_map, plant_map, _block_length(plant.A, dt), N))
 
-        status, t_d, recorded, k1, span, grow = "completed", None, steps + 1, 0, block, 1
-        while k1 <= steps:
-            k0, k1 = k1, min(k1 + span, steps + 1)
-            if block_step:
+        status, t_d, recorded, failure = "completed", None, steps + 1, None
+        schedule = _schedule(steps, block, block_step is not None)
+        while span := schedule.send(failure):
+            k0, k1, whole, clear = span
+            if clear > k0:  # the lifted passes add to their slots, and the control map reads state slots past row k
+                x_out[k0:clear] = u_out[k0:clear] = 0.0
+            if whole:
                 block_step(k0, k1)
                 ok = _peaks(rec[k0:k1 + 1, :n].T) <= limit
                 ok[:-1] &= np.isfinite(_peaks(u_out[k0:k1].T))
-                if ok.all():
-                    span += grow * span  # rows k0..k1 pass the scan
-                    continue
-                # re-step from the block that wrote the first failing row r (the blocks before it pass a check of
-                # their own), and in it from the _SCAN_BLOCK window holding r (r - 1 if r starts it); later
-                # blocks span the r - 1 steps that passed (on finite powers of F), or are steps
-                grow, r = 0, int(np.argmin(ok))
-                failed_step = r if np.abs(rec[k0 + r, :n]).max() <= limit else r - 1  # wrote the failing value
-                skip = block * max(0, failed_step // block)
-                block, r = min(block, _SCAN_BLOCK), r - skip
-                k0 += skip + max(0, min(r - 1, r - r % _SCAN_BLOCK))
-                # the lifted passes add to their slots, and the control map reads state slots past row k
-                x_out[k0:k1] = u_out[k0:k1] = 0.0
-                k1 = min(k0 + block, steps + 1)
-                block, block_step = (min(block, r - 1), block_step) if r > _LIFT_MIN else (block, None)
-                span = block
+                r = int(np.argmin(ok))
+                failure = None if ok[r] else (k0 + r, bool(np.abs(rec[k0 + r, :n]).max() <= limit))
+                continue
             row_step(k0, k1)
             ok = _peaks(rec[k0:k1, :n].T) <= limit
             if not ok.all():
@@ -273,6 +257,49 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
             controller=scenario.controller,
         )
         return traj, compute_metrics(traj, sp)
+
+
+def _schedule(steps: int, block: int, whole: bool):
+    """The block schedule of a run over rows 0..steps, a generator driven by
+    ``send``. It yields spans (k0, k1, whole, clear), and () once the run is
+    stepped: clear the rows k0..clear - 1 (none but on a span stepped again
+    after a failed one), then take the steps k0..k1 - 1, in the whole-block
+    stepper's blocks of ``block`` rows if ``whole``, else one step at a time.
+    A span of whole blocks is sent back None if it passed its check, else
+    (row, passed): its first failing row, and whether that row's state
+    passed, so that only its control failed. What is sent at a span stepped
+    one at a time is not read: the run ends at its first failing state.
+
+    Spans of whole blocks double from one block while every check passes (a
+    lag-0 run is one block, the whole run). A failed span is cleared from the
+    block that wrote its first failing value (the blocks before it pass a
+    check of their own) and stepped again: one step at a time over at most
+    ``_SCAN_BLOCK`` rows from the ``_SCAN_BLOCK`` window holding the failing
+    row r (from r - 1 if r starts a window), then in spans of whole blocks
+    that no longer double, at most r - 1 rows long with r counted from the
+    failing block's start, as the rows before r used only finite parts of the
+    block map; or one step at a time to the end, if r - 1 is below
+    ``_LIFT_MIN``. So no failing lifted block is lifted twice, and a run lifts
+    at most twice the rows a check per block would, 2 L ceil(r / L), before
+    its first failure at row r. A fold block that reaches an overflowing
+    power of F fails on the first row that uses it (0 * inf = NaN even on a
+    zero state), and its later blocks stop at the last finite power, so such
+    a run steps at most one ``_SCAN_BLOCK`` of rows one at a time."""
+    k1, span, grow = 0, block, 2 if whole else 1
+    while k1 <= steps:
+        k0, k1, clear, span = k1, min(k1 + span, steps + 1), k1, span * grow  # the next span, if this one passes
+        if whole:
+            failure = yield k0, k1, True, k0
+            if failure is None:
+                continue
+            r = failure[0] - k0
+            skip = block * max(0, (r if failure[1] else r - 1) // block)  # the block that wrote the failing value
+            block, r, grow, clear = min(block, _SCAN_BLOCK), r - skip, 1, k1
+            k0 += skip + max(0, min(r - 1, r - r % _SCAN_BLOCK))
+            k1, whole = min(k0 + block, steps + 1), r > _LIFT_MIN
+            span = block = min(block, r - 1) if whole else block
+        yield k0, k1, False, clear
+    yield ()
 
 
 def _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, e_max):
