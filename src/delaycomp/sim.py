@@ -164,12 +164,12 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     spans of rows each stepper takes, and the rows to clear before them; its
     docstring gives the span and re-step rules. ``run`` clears and steps each
     span and checks it: a span of whole blocks stands if its controls are
-    finite and its states, rows k0 to k1, are within the limit. A span
-    stepped one at a time is cut where a per-step test would cut it: at the
-    first state whose inf-norm exceeds the threshold or is not finite, as
-    diverged at that state's time; a non-finite state is not recorded. After
-    the loop, the window form's forecasts are filled in from the recorded
-    states and inputs.
+    finite and its recorded states, rows k0 to k1 but not the unrecorded row
+    steps + 1, are within the limit. A span stepped one at a time is cut
+    where a per-step test would cut it: at the first state whose inf-norm
+    exceeds the threshold or is not finite, as diverged at that state's time;
+    a non-finite state is not recorded. After the loop, the window form's
+    forecasts are filled in from the recorded states and inputs.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
@@ -228,8 +228,8 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
                 x_out[k0:clear] = u_out[k0:clear] = 0.0
             if whole:
                 block_step(k0, k1)
-                ok = _peaks(rec[k0:k1 + 1, :n].T) <= limit
-                ok[:-1] &= np.isfinite(_peaks(u_out[k0:k1].T))
+                ok = _peaks(rec[k0:min(k1, steps) + 1, :n].T) <= limit  # row steps + 1 is not recorded
+                ok[:k1 - k0] &= np.isfinite(_peaks(u_out[k0:k1].T))
                 r = int(np.argmin(ok))
                 failure = None if ok[r] else (k0 + r, bool(np.abs(rec[k0 + r, :n]).max() <= limit))
                 continue
@@ -268,7 +268,8 @@ def _schedule(steps: int, block: int, whole: bool):
     A span of whole blocks is sent back None if it passed its check, else
     (row, passed): its first failing row, and whether that row's state
     passed, so that only its control failed. What is sent at a span stepped
-    one at a time is not read: the run ends at its first failing state.
+    one at a time is not read: the run ends at that span's first failing
+    state, if it has one.
 
     Spans of whole blocks double from one block while every check passes (a
     lag-0 run is one block, the whole run). A failed span is cleared from the
@@ -283,8 +284,9 @@ def _schedule(steps: int, block: int, whole: bool):
     at most twice the rows a check per block would, 2 L ceil(r / L), before
     its first failure at row r. A fold block that reaches an overflowing
     power of F fails on the first row that uses it (0 * inf = NaN even on a
-    zero state), and its later blocks stop at the last finite power, so such
-    a run steps at most one ``_SCAN_BLOCK`` of rows one at a time."""
+    zero state), and its later blocks stop at the last finite power, so the
+    overflow costs such a run one ``_SCAN_BLOCK`` of rows stepped one at a
+    time."""
     k1, span, grow = 0, block, 2 if whole else 1
     while k1 <= steps:
         k0, k1, clear, span = k1, min(k1 + span, steps + 1), k1, span * grow  # the next span, if this one passes

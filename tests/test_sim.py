@@ -438,6 +438,23 @@ class TestLongHorizon:
         assert not metrics.diverged and np.all(traj.states == 0.0)
         assert 0 < sum(rows) <= _SCAN_BLOCK
 
+    @pytest.mark.parametrize("controller,h", [("nodelay", 0.0), ("naive", 0.3)])
+    def test_state_past_threshold_after_horizon(self, monkeypatch, controller, h):
+        # dx/dt = x with K = 0: x_k = e^{k dt} first passes the threshold at row 1001 = steps + 1,
+        # which is not recorded, so the run completes as it does at threshold inf. Its fold
+        # (nodelay) or lifted (naive) spans pass their checks, and no row is stepped one at a time
+        plant = LtiPlant(np.array([[1.0]]), np.array([[1.0]]), h)
+        sc = Scenario(plant=plant, gain=Gain(np.array([[0.0]])), setpoint=origin_setpoint(plant),
+                      controller=controller, x0=np.array([1.0]), dt=0.01, T=10.0, divergence_threshold=math.inf)
+        rows = self.stepped_rows(monkeypatch)
+        traj, metrics = run(replace(sc, divergence_threshold=math.exp(10.0) * 1.004))
+        assert (traj.status, len(traj.t), sum(rows)) == ("completed", 1001, 0)
+        unbounded, unbounded_metrics = run(sc)
+        for got, want in ((traj.states, unbounded.states), (traj.controls, unbounded.controls),
+                          (traj.predictions, unbounded.predictions)):
+            np.testing.assert_array_equal(got, want)
+        assert metrics == unbounded_metrics
+
     def test_lifted_rows_within_twice_the_run(self, monkeypatch):
         # robot.cfg without friction and with poles at -8 is past naive feedback's delay margin:
         # the 400 s run diverges at row 1496. Lifted runs are checked once per span of L, 2L,
