@@ -158,18 +158,20 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
 
     The rows go in blocks. Each kind of stepping has a helper that builds its
     maps once per run and returns a stepper: ``_fold`` and ``_lift`` step
-    whole blocks of unclipped runs (at lag 0 and at lag N >= 1, in one pass
-    per block, or two where the block map is not an inverse to rounding),
-    ``_steps`` and ``_zform`` one step at a time. ``_schedule`` names the
-    spans of rows each stepper takes, and the rows to clear before them; its
-    docstring gives the span and re-step rules. ``run`` clears and steps each
-    span and checks it: a span of whole blocks stands if its controls are
-    finite and its recorded states, rows k0 to k1 but not the unrecorded row
-    steps + 1, are within the limit. A span stepped one at a time is cut
-    where a per-step test would cut it: at the first state whose inf-norm
-    exceeds the threshold or is not finite, as diverged at that state's time;
-    a non-finite state is not recorded. After the loop, the window form's
-    forecasts are filled in from the recorded states and inputs.
+    whole blocks of unclipped runs (at lag 0, and at lag N >= 1 by one
+    product per block from its first N rows where that pays for its set-up,
+    else in one pass per block, or two where the block map is not an
+    inverse to rounding), ``_steps`` and ``_zform`` one step at a time.
+    ``_schedule`` names the spans of rows each stepper takes, and the rows
+    to clear before them; its docstring gives the span and re-step rules.
+    ``run`` clears and steps each span and checks it: a span of whole blocks
+    stands if its controls are finite and its recorded states, rows k0 to k1
+    but not the unrecorded row steps + 1, are within the limit. A span
+    stepped one at a time is cut where a per-step test would cut it: at the
+    first state whose inf-norm exceeds the threshold or is not finite, as
+    diverged at that state's time; a non-finite state is not recorded. After
+    the loop, the window form's forecasts are filled in from the recorded
+    states and inputs.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
@@ -347,53 +349,99 @@ def _lift(rec, control_map, plant_map, L, N):
     """(block length, stepper) for a run at lag N >= 1, in blocks of up to L
     steps within the ``_LIFT_*`` caps, or (``_SCAN_BLOCK``, None). A block
     solves for its unknowns y_i = (u_{k0+i}, x_{k0+1+i}) together. The
-    residual map takes rows k..k+N to the residuals of the two per-step
+    residual map R takes rows k..k+N to the residuals of the two per-step
     products (the control map less u_k's slot, the plant map less x_{k+1}'s);
     off those slots it holds the blocks tau_e of the coupling T (u_{k0+i-e} is
     in row N - e's input slot, x_{k0+1+i-e} in row 1 - e's state slot).
     M = (I - T)^{-1} is block Toeplitz; its first block column comes by
-    doubling: with P_K the inverse over K blocks, the next K are
-    P_K T[K:2K, :K] p_{:K}. The stepper walks rows k0..k1 in blocks of L from
-    k0, and adds M times each block's residuals into its slots, which start
-    at 0. A map whose defect (``_defect``) is at the rounding level does this
-    once; any other does it once more from the slots so written, a step of
-    iterative refinement, which keeps the rounding near the per-step loop's
-    where M is not an inverse of I - T to rounding. Only the per-step maps
-    enter, never powers of the closed loop, so the pair-error checks and the
-    delayed-equals-shifted identity do not depend on how the states are
-    computed."""
+    doubling: with P_K the inverse over K blocks, the next k are
+    P_k T[K:K+k, :K] p_{:K}, in which, as tau_e = 0 for e > N, only the last
+    min(K, N) blocks of p_{:K} and the first min(k, N) block rows of T enter.
+
+    The stepper walks rows k0..k1 in blocks of L from k0, and adds each
+    block's y into its slots, which start at 0. It is one of two:
+
+    - The basis stepper (Bamieh, Pearson, Francis & Tannenbaum, Systems &
+      Control Letters 17, 1991, from the block's boundary state). A block's
+      residuals from slots at 0 are g = R s + r1: s holds what is known when
+      the block starts at row a, the state x_a and the inputs held over rows
+      a..a+N-1 (the controls u_{a-N}..u_{a-1}), and r1 is the constant
+      slots' part, c on each control. Block row i's window starts at row
+      a + i, so only the first K = min(N, L) rows read s, through x_a (row 0)
+      and the taps tau_e that reach back past row a. Then y = M g = H s + h0,
+      with H = M[:, :K b] R_known and h0 = M r1 formed once per run, h0 on
+      the column of row a's constant slot, which holds 1. A block costs one
+      product of H, (L b) x (N d), over the record rows a..a+N-1, in place
+      of R over its L windows and then M, (L b) x (L b). H costs
+      L b K b (n + N m) to form and saves about ((steps + 1) / L) (L b)^2
+      over the run, so a map takes this stepper when it takes one pass
+      (below) and K (n + N m) < steps + 1; every other map takes the
+      residual stepper. As M is block lower triangular, H's first i block
+      rows are those of a block of i steps, so a block cut short at ``rows``
+      steps uses them alone.
+    - The residual stepper forms g from each block's windows and adds M g.
+      A map whose defect (``_defect``) is at the rounding level does this
+      once; any other does it once more from the slots so written, a step
+      of iterative refinement, which keeps the rounding near the per-step
+      loop's where M is not an inverse of I - T to rounding.
+
+    Only the per-step maps enter either stepper, never a power of the
+    closed loop: T and R hold the control and plant maps' coefficients, M
+    inverts I - T over one block, and H = M R_known maps one block's
+    boundary state, so every block starts again from the recorded rows
+    before it and no map spans more than L steps. The pair-error checks and
+    the delayed-equals-shifted identity therefore do not depend on how the
+    states are computed."""
     (n, d), steps = plant_map.shape, len(rec) - 1 - N
-    b = d - 1
+    b, m = d - 1, d - 1 - n
     L = min(L, steps + 1, _LIFT_COLS // b, _LIFT_BYTES // (8 * (N + 1) * d))
     if L < _LIFT_MIN:
         return _SCAN_BLOCK, None
-    flat, wide = rec.reshape(-1), np.ndarray((steps + 1, (N + 1) * d), float, rec, 0, rec.strides)
     own = np.r_[N * d + n + 1:(N + 1) * d, d:d + n]  # u_k's, x_{k+1}'s slots
     res_map = np.zeros((b, (N + 1) * d))
-    res_map[:b - n, :control_map.shape[1]], res_map[b - n:, :d] = control_map, plant_map
+    res_map[:m, :control_map.shape[1]], res_map[m:, :d] = control_map, plant_map
     res_map[np.arange(b), own] = -1.0
     by_row = res_map.reshape(b, N + 1, d)
     tau = np.zeros((L + N, b, b))  # tau_e at row e
-    tau[N:0:-1, :, :b - n] = by_row[:, :N, n + 1:].transpose(1, 0, 2)
-    tau[1, :, b - n:] = by_row[:, 0, :n]
+    tau[N:0:-1, :, :m] = by_row[:, :N, n + 1:].transpose(1, 0, 2)
+    tau[1, :, m:] = by_row[:, 0, :n]
     p, K = np.zeros((2 * L - 1, b, b)), 1  # p_l at row L - 1 + l
     p[L - 1] = np.eye(b)
     while K < L:
         k = min(K, L - K)
-        w = _toeplitz(tau[1:K + k], k, K) @ p[L - 1:L - 1 + K].reshape(K * b, b)
-        p[L - 1 + K:L - 1 + K + k] = (_toeplitz(p[L - k:L - 1 + k], k, k) @ w).reshape(k, b, b)
+        r, c = min(k, N), min(K, N)  # the block rows and columns of T[K:K+k, :K] that hold taps
+        w = _toeplitz(tau[1:r + c], r, c) @ p[L - 1 + K - c:L - 1 + K].reshape(c * b, b)
+        p[L - 1 + K:L - 1 + K + k] = (_toeplitz(p[L - r:L - 1 + k], k, r) @ w).reshape(k, b, b)
         K += k
-    M, res_map = _toeplitz(p, L, L), res_map.T
-    slots = (own + d * np.arange(L)[:, None]).reshape(-1)
-    passes = range(1 if _defect(tau, p, N) <= _ONE_PASS_DEFECT else 2)  # a NaN defect keeps two
+    flat, slots = rec.reshape(-1), (own + d * np.arange(L)[:, None]).reshape(-1)
+    one_pass = _defect(tau, p, N) <= _ONE_PASS_DEFECT  # a NaN defect keeps two passes
+    K = min(N, L)
+    if one_pass and K * (n + N * m) < steps + 1:
+        # H over rows a..a+N-1: x_a's slots, read by block row 0 through tau_1, and the input slot of
+        # row a + r, read by block row i <= r through tau_{N+i-r}; zero on the later rows' state slots
+        col = p[L - 1:].reshape(L * b, b)  # M's first block column
+        H = np.zeros((L * b, N, d))
+        H[:, 0, :n] = col @ tau[1, :, m:]
+        H[:, :, n + 1:] = (_toeplitz(p[L - K:], L, K) @ _toeplitz(tau[1:K + N, :, :m], K, N)).reshape(L * b, N, m)
+        H[:, 0, n] = np.cumsum((col @ by_row[:, :, n].sum(axis=1)).reshape(L, b), axis=0).reshape(-1)  # M r1
+        H = H.reshape(L * b, N * d)
 
-    def step(k0, k1):
+        def basis_step(k0, k1):
+            for a in range(k0, k1, L):  # blocks of L rows from k0
+                rows = min(L, k1 - a) * b
+                np.add.at(flat, slots[:rows] + a * d, H[:rows].dot(flat[a * d:(a + N) * d]))
+        return L, basis_step
+
+    wide = np.ndarray((steps + 1, (N + 1) * d), float, rec, 0, rec.strides)
+    M, res_map, passes = _toeplitz(p, L, L), res_map.T, range(1 if one_pass else 2)
+
+    def residual_step(k0, k1):
         for a in range(k0, k1, L):  # blocks of L rows from k0
             rows = min(L, k1 - a)
             win, at, block_map = wide[a:a + rows], slots[:rows * b] + a * d, M[:rows * b, :rows * b]
             for _ in passes:  # the block's slots start at 0: pass 1 solves, pass 2 (if any) refines
                 np.add.at(flat, at, block_map.dot(win.dot(res_map).reshape(-1)))
-    return L, step
+    return L, residual_step
 
 
 def _defect(tau: np.ndarray, p: np.ndarray, N: int) -> float:

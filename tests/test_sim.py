@@ -829,6 +829,77 @@ class TestOnePassGate:
         assert_matches_oracle(traj, run_oracle(sc))
 
 
+def margin_scenario(controller, h):
+    """A run of perfbench's margin-sweep: dx/dt = u(t - h), gain -8, x* = 0, from x0 = 1.2 over 25 s."""
+    plant = LtiPlant(np.array([[0.0]]), np.array([[1.0]]), h)
+    return Scenario(plant=plant, gain=Gain.for_plant(np.array([[-8.0]]), plant),
+                    setpoint=make_setpoint(plant, [0.0]), controller=controller, x0=np.array([1.2]),
+                    dt=0.01, T=25.0)
+
+
+class TestLiftSteppers:
+    """Which of sim._lift's two steppers a map takes: the basis stepper, one
+    product of H per block from the block's boundary state, for one-pass maps
+    with K (n + N m) < steps + 1, K = min(N, L); else the residual stepper."""
+
+    @staticmethod
+    def _steppers(monkeypatch):
+        """The name of each _lift call's stepper, in run order."""
+        names, lift = [], sim._lift
+
+        def named(*args):
+            block, step = lift(*args)
+            names.append(step.__name__)
+            return block, step
+        monkeypatch.setattr(sim, "_lift", named)
+        return names
+
+    @pytest.mark.parametrize("controller", ["naive", "predictor-window"])
+    @pytest.mark.parametrize("h", [0.05, 0.19, 0.25])
+    def test_margin_sweep_matches_reference(self, monkeypatch, controller, h):
+        # naive feedback at h = 0.25 s is past the pi/16 margin: its span of rows 1920..2500
+        # fails at row 2219, where the state passes 1e6, and is stepped again one step at a time
+        names = self._steppers(monkeypatch)
+        sc = margin_scenario(controller, h)
+        traj, _ = run(sc)
+        assert names == ["basis_step"]
+        assert_matches_oracle(traj, run_oracle(sc))
+        if (controller, h) == ("naive", 0.25):
+            assert (traj.status, len(traj.t), traj.t_d) == ("diverged", 2220, pytest.approx(22.19))
+
+    def test_margin_sweep_maps_take_basis_stepper(self, monkeypatch):
+        names = self._steppers(monkeypatch)
+        sweep_delay(margin_scenario("naive", 0.05), [round(0.05 + 0.01 * i, 2) for i in range(21)])
+        assert names == ["basis_step"] * 42
+
+    @pytest.mark.parametrize("controller", ["naive", "predictor-window"])
+    def test_robot_at_depth_5_takes_basis_stepper(self, monkeypatch, controller):
+        names = self._steppers(monkeypatch)
+        sc = robot_scenario(controller, h=0.05)
+        traj, _ = run(sc)
+        assert names == ["basis_step"]
+        assert_matches_oracle(traj, run_oracle(sc))
+
+    @pytest.mark.parametrize("h", [
+        0.3,  # robot.cfg's window run: K (n + N m) = 30 * 62 > 1001
+        1.0,  # perfbench's deep-window: N = 100 >= L = 50
+    ])
+    def test_robot_window_keeps_residual_stepper(self, monkeypatch, h):
+        names = self._steppers(monkeypatch)
+        run(robot_scenario("predictor-window", h=h))
+        assert names == ["residual_step"]
+
+    def test_two_pass_map_keeps_residual_stepper(self, monkeypatch):
+        # the marginal map of TestReferenceLoop.test_marginal_loop_in_lifted_blocks at depth 5
+        # takes two passes, though K (n + N m) = 5 * 7 < 2001
+        names = self._steppers(monkeypatch)
+        plant = LtiPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), 0.25)
+        run(Scenario(plant=plant, gain=Gain.for_plant(np.array([[-400.0, -40.0]]), plant),
+                     setpoint=origin_setpoint(plant), controller="predictor-window",
+                     x0=np.array([1.0, 0.0]), dt=0.05, T=100.0, divergence_threshold=math.inf))
+        assert names == ["residual_step"]
+
+
 # Completed, saturated, diverged and saturated-and-diverged robot runs: the
 # state climbs from the origin to x* = (1, 0.5), so it crosses either
 # threshold below 1.
