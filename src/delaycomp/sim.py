@@ -154,6 +154,8 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
        form's map is Kd times the forecast over rows k..k+N-1, zero on the
        state slots of rows not yet reached; naive and nodelay apply [Kd c] to
        (x_k, 1). The z form forecasts from a running integral (``_zform``).
+       At N = 0 the forecast is the state, so every controller applies
+       [Kd c], and a forecast controller's predictions are its states.
     2. plant: the exact ZOH step [Ad 0 Bd] maps row k to row k + 1's state.
 
     The rows go in blocks. Each kind of stepping has a helper that builds its
@@ -161,24 +163,25 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     whole blocks of unclipped runs (at lag 0, and at lag N >= 1 by one
     product per block from its first N rows where that pays for its set-up,
     else in one pass per block, or two where the block map is not an
-    inverse to rounding), ``_steps`` and ``_zform`` one step at a time.
-    ``_schedule`` names the spans of rows each stepper takes, and the rows
-    to clear before them; its docstring gives the span and re-step rules.
-    ``run`` clears and steps each span and checks it: a span of whole blocks
-    stands if its controls are finite and its recorded states, rows k0 to k1
-    but not the unrecorded row steps + 1, are within the limit. A span
-    stepped one at a time is cut where a per-step test would cut it: at the
-    first state whose inf-norm exceeds the threshold or is not finite, as
-    diverged at that state's time; a non-finite state is not recorded. After
-    the loop, the window form's forecasts are filled in from the recorded
-    states and inputs.
+    inverse to rounding), ``_steps`` and ``_zform`` (N >= 1) one step at a
+    time. ``_schedule`` names the spans of rows each stepper takes, and the
+    rows to clear before them; its docstring gives the span, re-step and end
+    rules. ``run`` clears and steps each span, checks it and sends the
+    schedule its first failing row: a state whose inf-norm exceeds the
+    threshold or is not finite, among rows k0 to k1 - 1, and for a span of
+    whole blocks also row k1 (but not the unrecorded row steps + 1) and the
+    controls. The run ends at the last failure sent, as diverged at that
+    state's time, or completes if there is none; a non-finite state is not
+    recorded. After the loop, the window form's forecasts are filled in from
+    the recorded states and inputs.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m = scenario.dt, plant.n, plant.m_in
     steps = round(scenario.T / dt)
     N = delay_steps(plant.h, dt)
     lag = 0 if controller == "nodelay" else N
-    window, zform = controller == "predictor-window", controller == "predictor-zform"
+    # at N = 0 a forecast is the state, so every controller runs the undelayed loop
+    window, zform = N > 0 and controller == "predictor-window", N > 0 and controller == "predictor-zform"
     # capped at the largest float so that a threshold of inf still stops on an infinite state
     limit = min(scenario.divergence_threshold, 1.7976931348623157e308)
 
@@ -203,8 +206,12 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
         if window or zform:
             pred = Predictor(plant, dt, (Ad, Bd))
         if window:
-            forecast = _forecast_map(pred, d)
-            control_map = Kd @ forecast
+            # the forecast as one map over the flat record rows k..k+N-1: e^{Ah} on row k's state slot,
+            # G's blocks on the input slots, zeros elsewhere
+            forecast = np.zeros((n, N, d))
+            forecast[:, :, n + 1:] = pred.G.reshape(n, N, m)
+            forecast[:, 0, :n] = pred.exp_h
+            control_map = Kd @ forecast.reshape(n, N * d)
             control_map[:, n] = c
         else:
             control_map = np.concatenate((Kd, c[:, None]), axis=1)
@@ -212,7 +219,9 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
         # from row k on, at most N rows, so within the record), u_k's slot and x_{k+1}'s slots
         ctl_in = np.ndarray((steps + 1, control_map.shape[1]), float, rec, 0, rec.strides)
         u_out, x_out = rec[lag:, n + 1:], rec[1:, :n]
-        predictions = None if window else np.full((steps + 1, n), np.nan)  # the z form's forecasts
+        # the z form's forecasts, NaN for naive and nodelay; at N = 0 a forecast controller's are its states
+        predictions = (None if window else rec[:, :n] if N == 0 and controller.startswith("predictor")
+                       else np.full((steps + 1, n), np.nan))
         block, block_step = _SCAN_BLOCK, None
         if zform:
             block, row_step = _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions)
@@ -222,31 +231,25 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
                 block, block_step = (_fold(rec, ctl_in, u_out, control_map, plant_map, Bd) if lag == 0 else
                                      _lift(rec, control_map, plant_map, _block_length(plant.A, dt), N))
 
-        status, t_d, recorded, failure = "completed", None, steps + 1, None
-        schedule = _schedule(steps, block, block_step is not None)
+        failure, schedule = None, _schedule(steps, block, block_step is not None)
         while span := schedule.send(failure):
             k0, k1, whole, clear = span
             if clear > k0:  # the lifted passes add to their slots, and the control map reads state slots past row k
                 x_out[k0:clear] = u_out[k0:clear] = 0.0
+            (block_step if whole else row_step)(k0, k1)
+            # a whole span checks its last state and its controls too; row steps + 1 is not recorded
+            ok = _peaks(rec[k0:min(k1 + whole, steps + 1), :n].T) <= limit
             if whole:
-                block_step(k0, k1)
-                ok = _peaks(rec[k0:min(k1, steps) + 1, :n].T) <= limit  # row steps + 1 is not recorded
                 ok[:k1 - k0] &= np.isfinite(_peaks(u_out[k0:k1].T))
-                r = int(np.argmin(ok))
-                failure = None if ok[r] else (k0 + r, bool(np.abs(rec[k0 + r, :n]).max() <= limit))
-                continue
-            row_step(k0, k1)
-            ok = _peaks(rec[k0:k1, :n].T) <= limit
-            if not ok.all():
-                k = k0 + int(np.argmin(ok))
-                status, t_d = "diverged", k * dt
-                recorded = k + 1 if np.all(np.isfinite(rec[k, :n])) else k
-                break
+            r = int(np.argmin(ok))
+            failure = None if ok[r] else (k0 + r, bool(np.abs(rec[k0 + r, :n]).max() <= limit))
+        status, t_d, recorded = "completed", None, steps + 1
+        if failure:  # the schedule ends a run only at a span stepped one at a time, on its first failing state
+            k = failure[0]
+            status, t_d = "diverged", k * dt
+            recorded = k + 1 if np.all(np.isfinite(rec[k, :n])) else k
         states, controls = rec[:recorded, :n], u_out[:recorded]
-        if window:
-            predictions = _forecasts(pred, rec, recorded)
-        else:
-            predictions = predictions[:recorded]
+        predictions = _forecasts(pred, rec, recorded) if window else predictions[:recorded]
         traj = Trajectory(
             t=np.arange(recorded) * dt,
             states=states,
@@ -267,11 +270,11 @@ def _schedule(steps: int, block: int, whole: bool):
     stepped: clear the rows k0..clear - 1 (none but on a span stepped again
     after a failed one), then take the steps k0..k1 - 1, in the whole-block
     stepper's blocks of ``block`` rows if ``whole``, else one step at a time.
-    A span of whole blocks is sent back None if it passed its check, else
-    (row, passed): its first failing row, and whether that row's state
-    passed, so that only its control failed. What is sent at a span stepped
-    one at a time is not read: the run ends at that span's first failing
-    state, if it has one.
+    Each span is sent back None if it passed its check, else (row, passed):
+    its first failing row, and whether that row's state passed, so that only
+    its control failed. A failed span stepped one at a time ends the
+    schedule: it yields () next, and the run ends at that span's first
+    failing state, as a per-step test would end it.
 
     Spans of whole blocks double from one block while every check passes (a
     lag-0 run is one block, the whole run). A failed span is cleared from the
@@ -302,7 +305,8 @@ def _schedule(steps: int, block: int, whole: bool):
             k0 += skip + max(0, min(r - 1, r - r % _SCAN_BLOCK))
             k1, whole = min(k0 + block, steps + 1), r > _LIFT_MIN
             span = block = min(block, r - 1) if whole else block
-        yield k0, k1, False, clear
+        if (yield k0, k1, False, clear) is not None:
+            break
     yield ()
 
 
@@ -471,16 +475,16 @@ def _defect(tau: np.ndarray, p: np.ndarray, N: int) -> float:
 
 
 def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):
-    """(L, stepper) for the z form, the literal dynamic-regulator realization
-    xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] through the running
-    integral z(t) = integral_0^t e^{-As} B (u(s) - u*) ds, zero on [-h, 0]. z is
-    kept relative to the first step a of its block of L (``_block_length``)
-    steps, so its factors are e^{+-A (k - a) dt}, from one batched call per run.
-    A block's last step writes z's next row in the next block's frame, through
-    Bd, and at each block start the N rows before it move on to the new anchor
-    with one product, (z - z_a) e^{A L dt}^T; so at L = 1 no e^{-A dt} factor
-    is used, and no factor grows with the horizon. The stepper writes each
-    row's forecast into ``predictions``."""
+    """(L, stepper) for the z form at N >= 1, the literal dynamic-regulator
+    realization xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] through the
+    running integral z(t) = integral_0^t e^{-As} B (u(s) - u*) ds, zero on
+    [-h, 0]. z is kept relative to the first step a of its block of L
+    (``_block_length``) steps, so its factors are e^{+-A (k - a) dt}, from one
+    batched call per run. A block's last step writes z's next row in the next
+    block's frame, through Bd, and at each block start the N rows before it
+    move on to the new anchor with one product, (z - z_a) e^{A L dt}^T; so at
+    L = 1 no e^{-A dt} factor is used, and no factor grows with the horizon.
+    The stepper writes each row's forecast into ``predictions``."""
     A, dt, x_star, u_star = scenario.plant.A, scenario.dt, scenario.setpoint.x_star, scenario.setpoint.u_star
     e_max, N, exp_h, Bd, pdot = scenario.e_max, pred.depth, pred.exp_h, pred.Bd, plant_map.dot
     block, n = _block_length(A, dt), len(A)
@@ -490,7 +494,6 @@ def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):
     move = exp_t[block]
     z = np.zeros((N + len(predictions) + 1, n))
     offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
-    last = block - 1 if N else 0  # at N = 0, z[N + k] - z[k] is 0: z stays 0
 
     def step(k0, k1):
         kept = z[k0:N + k0]  # the rows still read, but row N + k0, which is in this block's frame
@@ -502,9 +505,9 @@ def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):
             np.add(c, Kd.dot(xhat), out=u)
             if e_max is not None:
                 u.clip(-e_max, e_max, out=u)
-            if j < last:
+            if j < block - 1:
                 z[N + k + 1] = z_now + z_gain[j].dot(u - u_star)
-            elif N:  # a block's last step writes the next row in the next block's frame:
+            else:  # a block's last step writes the next row in the next block's frame:
                 # e^{A L dt} e^{-A (L - 1) dt} Gamma = e^{A dt} Gamma = Bd
                 z[N + k + 1] = move.dot(z_now - z[k + 1]) + Bd.dot(u - u_star)
             pdot(row, out=x_next)
@@ -538,32 +541,19 @@ def _toeplitz(seq: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return view.copy().reshape(rows * a, cols * b)
 
 
-def _forecast_map(pred: Predictor, d: int) -> np.ndarray:
-    """The window-form forecast as one map over the flat record rows
-    k..k+N-1 of width d: e^{Ah} on row k's state slot, G's blocks on the
-    input slots, zeros elsewhere; over (x_k, 1) alone when N = 0."""
-    (n, m), N = pred.Bd.shape, pred.depth
-    out = np.zeros((n, max(N * d, n + 1)))
-    if N:
-        out.reshape(n, N, d)[:, :, n + 1:] = pred.G.reshape(n, N, m)
-    out[:, :n] = pred.exp_h
-    return out
-
-
 def _forecasts(pred: Predictor, rec: np.ndarray, rows: int) -> np.ndarray:
     """Row k is the window forecast e^{Ah} x_k + G w_k for k < rows, with w_k
-    the inputs held over steps k..k+N-1: X e^{Ah}^T + W G^T. W's rows are
-    overlapping views of one contiguous copy of the record's input column, so
-    a row is N m wide and reads no state slot; they are taken a chunk at a
-    time so that the copy BLAS needs stays small."""
+    the inputs held over steps k..k+N-1 (N >= 1): X e^{Ah}^T + W G^T. W's
+    rows are overlapping views of one contiguous copy of the record's input
+    column, so a row is N m wide and reads no state slot; they are taken a
+    chunk at a time so that the copy BLAS needs stays small."""
     (n, m), N = pred.Bd.shape, pred.depth
     out = rec[:rows, :n].dot(pred.exp_h.T)
-    if N:
-        inputs = np.ascontiguousarray(rec[:rows + N - 1, n + 1:])
-        windows = np.ndarray((rows, N * m), float, inputs, 0, (inputs.strides[0], inputs.itemsize))
-        chunk, gt = max(1, _FILL_BYTES // (8 * N * m)), pred.G.T
-        for r0 in range(0, rows, chunk):
-            out[r0:r0 + chunk] += windows[r0:r0 + chunk].dot(gt)
+    inputs = np.ascontiguousarray(rec[:rows + N - 1, n + 1:])
+    windows = np.ndarray((rows, N * m), float, inputs, 0, (inputs.strides[0], inputs.itemsize))
+    chunk, gt = max(1, _FILL_BYTES // (8 * N * m)), pred.G.T
+    for r0 in range(0, rows, chunk):
+        out[r0:r0 + chunk] += windows[r0:r0 + chunk].dot(gt)
     return out
 
 

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tests/digest_runs.py SEED COUNT
 
-Each line is ``SEED INDEX KIND STATUS ROWS DIGEST``; the digest hashes the
-run's t, states, controls, predictions, status, t_d and metrics, or names the
-exception its set-up raised. Point PYTHONPATH at another tree's ``src`` and
-diff the two outputs: equal lines are bitwise-equal runs.
+Each line is ``SEED INDEX KIND STATUS ROWS DIGEST CONTROLLER N``; the digest
+hashes the run's t, states, controls, predictions, status, t_d and metrics, or
+names the exception its set-up raised, and N is the delay depth h/dt ("-" for
+what a raising set-up did not build). Point PYTHONPATH at another tree's
+``src`` and diff the two outputs: equal lines are bitwise-equal runs.
 
 Even indices are mixed runs: random plants with n <= 3 (half diagonal, half
 coupled; B square or not), any of the four controllers, e_max in
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from delaycomp.control import Gain, Setpoint
+from delaycomp.control import Gain, Setpoint, delay_steps
 from delaycomp.robot import LtiPlant
 from delaycomp.sim import CONTROLLERS, Scenario, run
 
@@ -62,17 +63,21 @@ def probe(rng) -> Scenario:
     )
 
 
-def digest(scenario_of, rng) -> tuple[str, str, str]:
-    """(status, rows, digest) of one run, or the name of the exception that its set-up raised."""
+def digest(scenario_of, rng) -> tuple[str, ...]:
+    """(status, rows, digest, controller, N) of one run, with the name of the exception that its set-up
+    raised in place of the digest."""
+    controller = N = "-"
     try:
-        traj, metrics = run(scenario_of(rng))
+        scenario = scenario_of(rng)
+        controller, N = scenario.controller, str(delay_steps(scenario.plant.h, scenario.dt))
+        traj, metrics = run(scenario)
     except ValueError as exc:
-        return "raised", "-", type(exc).__name__
+        return "raised", "-", type(exc).__name__, controller, N
     h = hashlib.sha256()
     for a in (traj.t, traj.states, traj.controls, traj.predictions):
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(repr((traj.status, traj.t_d, metrics)).encode())
-    return traj.status, str(len(traj.t)), h.hexdigest()[:20]
+    return traj.status, str(len(traj.t)), h.hexdigest()[:20], controller, N
 
 
 def main(seed: int, count: int) -> None:

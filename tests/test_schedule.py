@@ -47,18 +47,19 @@ class Model:
         return j == self.control or (
             self.calls[self.writer[j]][2] == "lift" and not self.spurious_state and j == self.spurious)
 
-    def first_failure(self, k0, k1):
-        """The check of a span of whole blocks: (row, state passed) of its first failing state,
-        rows k0..k1 but not row steps + 1, or control, rows k0..k1 - 1; None if all pass."""
-        rows = range(k0, min(k1, self.steps) + 1)
-        row = next((j for j in rows if self.state_fails(j) or j < k1 and self.control_fails(j)), None)
+    def first_failure(self, k0, k1, whole):
+        """The check of a span: (row, state passed) of its first failing state, rows k0..k1 - 1, and, if
+        ``whole``, row k1 but not row steps + 1, or control, rows k0..k1 - 1; None if all pass."""
+        rows = range(k0, min(k1 + whole, self.steps + 1))
+        row = next((j for j in rows if self.state_fails(j) or whole and j < k1 and self.control_fails(j)), None)
         return None if row is None else (row, not self.state_fails(row))
 
     def drive(self):
-        """Drive ``sim._schedule`` as ``run`` does. Returns the row where a span stepped one at a time cut
-        the run (None if it completed), whether the last call to take each step passed its check there,
-        and the failing lifted blocks (first step, end, index of the next call). Asserts at each call that
-        no step from its k0 on holds a write made since that step was last cleared."""
+        """Drive ``sim._schedule`` as ``run`` does, sending it each span's check. Returns the first failing
+        row of the last span sent, where the run ends (None if it completed), whether the last call to take
+        each step passed its check there, and the failing lifted blocks (first step, end, index of the next
+        call). Asserts at each call that no step from its k0 on holds a write made since that step was last
+        cleared."""
         good, dirty = np.zeros(self.steps + 1, bool), np.zeros(self.steps + 1, bool)
         failed_blocks, failure = [], None
         schedule = sim._schedule(self.steps, self.steps + 1 if self.kind == "fold" else self.L, self.kind != "rows")
@@ -70,13 +71,8 @@ class Model:
             assert not dirty[k0:].any()
             self.take(k0, k1, self.kind if whole else "rows")
             good[k0:k1] = dirty[k0:k1] = True
-            if not whole:
-                cut = next((j for j in range(k0, k1) if self.state_fails(j)), None)
-                if cut is not None:
-                    return cut, good, failed_blocks
-                continue
-            failure = self.first_failure(k0, k1)
-            if failure:
+            failure = self.first_failure(k0, k1, whole)
+            if failure and whole:
                 # the step that wrote the failing value; a call's steps before it passed, as every value of a
                 # fold or lifted block comes from those of earlier rows alone
                 row, passed = failure
@@ -85,7 +81,7 @@ class Model:
                 if self.kind == "lift" and wrote >= k0:
                     first = k0 + (wrote - k0) // self.L * self.L
                     failed_blocks.append((first, min(first + self.L, k1), len(self.calls)))
-        return None, good, failed_blocks
+        return None if failure is None else failure[0], good, failed_blocks
 
     def run(self):
         """``sim.run`` on a scalar loop whose steppers are stand-ins: each takes the model's call and
@@ -228,6 +224,16 @@ class TestSchedule:
         assert model.drive()[0] is None
         assert [stepper for _, _, stepper in model.calls].count("rows") == 1
         assert rows_stepped(model) == _SCAN_BLOCK
+
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_failed_row_span_ends_schedule(self, whole):
+        # a failure sent at a span stepped one at a time ends the schedule, also on the span that steps a
+        # failed span of whole blocks again; run ends at that failure
+        schedule = sim._schedule(1000, 64 if whole else _SCAN_BLOCK, whole)
+        assert schedule.send(None) == (0, 64 if whole else _SCAN_BLOCK, whole, 0)
+        if whole:
+            assert schedule.send((10, False)) == (0, 64, False, 64)
+        assert schedule.send((10, False)) == ()
 
     def test_lifted_rows_within_twice_the_run(self):
         # PR 20's bound: the frictionless robot under naive feedback at h = 0.3 s diverges at row 1496

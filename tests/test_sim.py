@@ -900,6 +900,58 @@ class TestLiftSteppers:
         assert names == ["residual_step"]
 
 
+class TestZeroDelay:
+    """At h = 0 a forecast is the state, so every controller runs the
+    undelayed loop: the [Kd c] control map, in one fold block when unclipped
+    and one step at a time when clipped."""
+
+    @staticmethod
+    def _taken(monkeypatch):
+        """The names of the helpers whose steppers step a run."""
+        taken = set()
+        for name in ("_steps", "_fold", "_lift", "_zform"):
+            def wrapped(*args, name=name, helper=getattr(sim, name)):
+                made = helper(*args)
+                block, step = (None, made) if name == "_steps" else made
+                if step is None:
+                    return made
+
+                def stepping(k0, k1):
+                    taken.add(name)
+                    step(k0, k1)
+                return stepping if name == "_steps" else (block, stepping)
+            monkeypatch.setattr(sim, name, wrapped)
+        return taken
+
+    @pytest.mark.parametrize("e_max", [None, 0.6])
+    def test_controllers_equal(self, e_max):
+        runs = [run(replace(robot_scenario(c, h=0.0, T=5.0), e_max=e_max))[0] for c in CONTROLLERS]
+        for traj in runs[1:]:
+            assert same_bits(traj.states, runs[0].states) and same_bits(traj.controls, runs[0].controls)
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    @pytest.mark.parametrize("e_max,helper", [(None, "_fold"), (0.6, "_steps")])
+    def test_route(self, monkeypatch, controller, e_max, helper):
+        taken = self._taken(monkeypatch)
+        traj, _ = run(replace(robot_scenario(controller, h=0.0, T=5.0), e_max=e_max))
+        assert traj.status == "completed"
+        assert taken == {helper}
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_predictions_are_states(self, controller):
+        traj, metrics = run(robot_scenario(controller, h=0.0, T=5.0))
+        if controller.startswith("predictor"):
+            np.testing.assert_array_equal(traj.predictions, traj.states)
+            assert metrics.max_prediction_error == 0.0
+        else:
+            assert traj.predictions.shape == traj.states.shape and np.isnan(traj.predictions).all()
+
+    @pytest.mark.parametrize("e_max", [None, 0.6])
+    def test_zform_matches_reference(self, e_max):
+        sc = replace(robot_scenario("predictor-zform", h=0.0, T=5.0), e_max=e_max)
+        assert_matches_oracle(run(sc)[0], run_oracle(sc))
+
+
 # Completed, saturated, diverged and saturated-and-diverged robot runs: the
 # state climbs from the origin to x* = (1, 0.5), so it crosses either
 # threshold below 1.
@@ -918,8 +970,8 @@ class TestForecastControl:
     naive and nodelay)."""
 
     @staticmethod
-    def _run(controller, e_max, threshold, status):
-        sc = replace(robot_scenario(controller, T=5.0), e_max=e_max,
+    def _run(controller, e_max, threshold, status, h=0.3):
+        sc = replace(robot_scenario(controller, h=h, T=5.0), e_max=e_max,
                      divergence_threshold=threshold)
         traj, _ = run(sc)
         assert traj.status == status
@@ -964,12 +1016,13 @@ class TestForecastControl:
         sc, traj = self._run(controller, e_max, threshold, status)
         self._assert_feedback_of(sc, traj, traj.states)
 
-    @pytest.mark.parametrize("controller", CONTROLLERS)
+    @pytest.mark.parametrize("controller,h", [pytest.param(c, h, id=c if h else f"{c}-h0")
+                                              for h in (0.3, 0.0) for c in CONTROLLERS])
     @pytest.mark.parametrize("e_max,threshold,status", _RUN_ENDS)
-    def test_state_is_step_under_held_input(self, controller, e_max, threshold, status):
+    def test_state_is_step_under_held_input(self, controller, e_max, threshold, status, h):
         # the input held over step k is the control issued lag steps before
         # (u* before the first one), lag = N or 0 for nodelay
-        sc, traj = self._run(controller, e_max, threshold, status)
+        sc, traj = self._run(controller, e_max, threshold, status, h)
         lag = 0 if controller == "nodelay" else round(sc.plant.h / sc.dt)
         held = np.vstack([np.tile(sc.setpoint.u_star, (lag, 1)), traj.controls])
         ad, bd = zoh_discretize(sc.plant.A, sc.plant.B, sc.dt)
