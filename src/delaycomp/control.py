@@ -1,4 +1,4 @@
-"""Gain design, setpoint handling and the state predictor.
+"""Gain design, setpoint handling and the delay depth.
 
 The controller for the delayed plant dx/dt = A x + B u(t-h) is predictor
 feedback: apply the stabilizing state feedback not to the measured state but
@@ -10,10 +10,11 @@ which under zero-order-hold inputs collapses to the finite sum
 xhat(t+h) = e^{A N dt} x + sum_i e^{A (N-1-i) dt} Bd u_i over the last
 N = h/dt applied controls. The sum is the exact forecast, not a quadrature of
 the distributed delay, so the instability of approximated distributed-delay
-laws does not apply. :class:`Predictor` holds the window form of the sum; the
-simulation folds it into its control map over its record of states and held
-inputs. The z form, which the window form is validated against, lives in
-:mod:`delaycomp.sim` beside the loop that keeps its z.
+laws does not apply. Both forms of the forecast live in :mod:`delaycomp.sim`
+beside the loop that runs them: the window form of the sum, whose factors
+``sim._window_factors`` forms and the simulation folds into its control map,
+and the z form, which the window form is validated against and which builds
+its own factors.
 
 :func:`delay_steps` is the one place that turns a delay h into the step count
 N, and rejects a delay that is not an integer multiple of dt. A delay it
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .robot import LtiPlant
-from .smallmat import as_vector, is_diagonal, is_hurwitz, mat_exp, solve
+from .smallmat import as_vector, is_diagonal, is_hurwitz, solve
 
 class UnsupportedStructureError(ValueError):
     """Plant structure outside what the closed-form design handles."""
@@ -142,21 +143,3 @@ def delay_steps(h: float, dt: float) -> int:
         raise ValueError(f"delay h={h:g} is not an integer multiple of dt={dt:g}")
     return n
 
-
-class Predictor:
-    """Exact h-second-ahead state forecast for one plant and sample period,
-    in the window form e^{A N dt} x + G w, w the last N applied controls,
-    oldest first: ``depth`` is N = h/dt, ``Ad, Bd`` the exact one-step
-    discretization ``step``, ``exp_h`` = e^{A N dt} and ``G`` =
-    [e^{A (N-1) dt} Bd ... Bd], every exponential from its own grid time in
-    one batched call, so none has an argument past h. A forecast costs two
-    matrix-vector products. It is linear in (x, u), so it applies unchanged
-    to deviations from an equilibrium. The z form reads ``exp_h`` alone.
-    """
-
-    def __init__(self, plant: LtiPlant, dt: float, step: tuple[np.ndarray, np.ndarray]):
-        self.depth = N = delay_steps(plant.h, dt)
-        self.Ad, self.Bd = step
-        exps = mat_exp(plant.A, dt * np.arange(N + 1))
-        self.exp_h = exps[N]
-        self.G = (exps[:N] @ self.Bd)[::-1].transpose(1, 0, 2).reshape(plant.n, N * plant.m_in)

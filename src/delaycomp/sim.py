@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .control import Gain, Predictor, Setpoint, delay_steps
+from .control import Gain, Setpoint, delay_steps
 from .robot import LtiPlant
 from .smallmat import SingularMatrixError, as_vector, is_diagonal, mat_exp, solve, zoh_unchecked
 
@@ -151,11 +151,12 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
 
     1. control: one map (setpoint and gain folded in, c = u* - Kd x* on the
        constant slot) writes u_k into row k + lag's input slot. The window
-       form's map is Kd times the forecast over rows k..k+N-1, zero on the
-       state slots of rows not yet reached; naive and nodelay apply [Kd c] to
-       (x_k, 1). The z form forecasts from a running integral (``_zform``).
-       At N = 0 the forecast is the state, so every controller applies
-       [Kd c], and a forecast controller's predictions are its states.
+       form's map is Kd times its forecast (``_window_factors``) over rows
+       k..k+N-1, zero on the state slots of rows not yet reached; naive and
+       nodelay apply [Kd c] to (x_k, 1). The z form forecasts from a running
+       integral (``_zform``). At N = 0 the forecast is the state, so every
+       controller applies [Kd c], and a forecast controller's predictions
+       are its states.
     2. plant: the exact ZOH step [Ad 0 Bd] maps row k to row k + 1's state.
 
     The rows go in blocks. Each kind of stepping has a helper that builds its
@@ -203,14 +204,13 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
         rec[0, :n] = scenario.x0
         plant_map = np.zeros((n, d))
         plant_map[:, :n], plant_map[:, n + 1:] = Ad, Bd
-        if window or zform:
-            pred = Predictor(plant, dt, (Ad, Bd))
         if window:
             # the forecast as one map over the flat record rows k..k+N-1: e^{Ah} on row k's state slot,
             # G's blocks on the input slots, zeros elsewhere
+            exp_h, G = _window_factors(plant.A, Bd, dt, N)
             forecast = np.zeros((n, N, d))
-            forecast[:, :, n + 1:] = pred.G.reshape(n, N, m)
-            forecast[:, 0, :n] = pred.exp_h
+            forecast[:, :, n + 1:] = G.reshape(n, N, m)
+            forecast[:, 0, :n] = exp_h
             control_map = Kd @ forecast.reshape(n, N * d)
             control_map[:, n] = c
         else:
@@ -224,7 +224,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
                        else np.full((steps + 1, n), np.nan))
         block, block_step = _SCAN_BLOCK, None
         if zform:
-            block, row_step = _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions)
+            block, row_step = _zform(scenario, N, Kd, c, rec, u_out, x_out, plant_map, predictions)
         else:
             row_step = _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, scenario.e_max)
             if scenario.e_max is None:
@@ -249,7 +249,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
             status, t_d = "diverged", k * dt
             recorded = k + 1 if np.all(np.isfinite(rec[k, :n])) else k
         states, controls = rec[:recorded, :n], u_out[:recorded]
-        predictions = _forecasts(pred, rec, recorded) if window else predictions[:recorded]
+        predictions = _forecasts(exp_h, G, rec, recorded) if window else predictions[:recorded]
         traj = Trajectory(
             t=np.arange(recorded) * dt,
             states=states,
@@ -474,24 +474,25 @@ def _defect(tau: np.ndarray, p: np.ndarray, N: int) -> float:
     return float(np.abs(p[L:] - np.matmul(taps, before)).sum(axis=(0, 2)).max())
 
 
-def _zform(scenario, pred, Kd, c, rec, u_out, x_out, plant_map, predictions):
+def _zform(scenario, N, Kd, c, rec, u_out, x_out, plant_map, predictions):
     """(L, stepper) for the z form at N >= 1, the literal dynamic-regulator
     realization xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] through the
     running integral z(t) = integral_0^t e^{-As} B (u(s) - u*) ds, zero on
     [-h, 0]. z is kept relative to the first step a of its block of L
     (``_block_length``) steps, so its factors are e^{+-A (k - a) dt}, from one
-    batched call per run. A block's last step writes z's next row in the next
-    block's frame, through Bd, and at each block start the N rows before it
-    move on to the new anchor with one product, (z - z_a) e^{A L dt}^T; so at
-    L = 1 no e^{-A dt} factor is used, and no factor grows with the horizon.
-    The stepper writes each row's forecast into ``predictions``."""
+    batched call per run that also gives e^{Ah}, at h = N dt: no factor of
+    the window form enters. A block's last step writes z's next row in the
+    next block's frame, through Bd, and at each block start the N rows before
+    it move on to the new anchor with one product, (z - z_a) e^{A L dt}^T; so
+    at L = 1 no e^{-A dt} factor is used, and no factor grows with the
+    horizon. The stepper writes each row's forecast into ``predictions``."""
     A, dt, x_star, u_star = scenario.plant.A, scenario.dt, scenario.setpoint.x_star, scenario.setpoint.u_star
-    e_max, N, exp_h, Bd, pdot = scenario.e_max, pred.depth, pred.exp_h, pred.Bd, plant_map.dot
+    e_max, Bd, pdot = scenario.e_max, scenario.loop[1], plant_map.dot
     block, n = _block_length(A, dt), len(A)
-    # factors at times from the block start; e^{A L dt} moves z on. At L = 1 every step is a block's last,
-    # so the input factor, which overflows (under run's errstate) once ||A||_inf dt passes about 709, is not read
-    exp_t, z_gain = _zform_factors(A, scenario.plant.B, dt, dt * np.arange(block + 1))
-    move = exp_t[block]
+    # factors at times j dt from the block start, then at h; e^{A L dt} moves z on. Only the input factors at
+    # j < L - 1 are read: none at L = 1, where they overflow (under run's errstate) once ||A||_inf dt passes 709
+    exp_t, z_gain = _zform_factors(A, scenario.plant.B, dt, dt * np.append(np.arange(block + 1), N))
+    move, exp_h = exp_t[block], exp_t[-1]
     z = np.zeros((N + len(predictions) + 1, n))
     offset = x_star - exp_h @ x_star  # xhat = e^{Ah} x + offset + e^{A j dt} dz
 
@@ -523,6 +524,14 @@ def _zform_factors(A: np.ndarray, B: np.ndarray, dt: float, t: np.ndarray) -> tu
     return mat_exp(A, t), mat_exp(A, -t) @ zoh_unchecked(-A, B, dt)[1]
 
 
+def _window_factors(A: np.ndarray, Bd: np.ndarray, dt: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The window form's factors (e^{Ah}, G) at h = N dt, G = [e^{A (N-1) dt} Bd ... Bd]: its forecast is
+    e^{Ah} x + G w, w the inputs held over the last N steps, oldest first. Every exponential comes from its own
+    grid time in one batched call, so none has an argument past h."""
+    (n, m), exps = Bd.shape, mat_exp(A, dt * np.arange(N + 1))
+    return exps[N], (exps[:N] @ Bd)[::-1].transpose(1, 0, 2).reshape(n, N * m)
+
+
 def _block_length(A: np.ndarray, dt: float) -> int:
     """Steps per z-form or lifted block: ``_SCAN_BLOCK``, or fewer so that
     ||A||_inf L dt <= 1, which bounds e^{A j dt}, j <= L, by e."""
@@ -541,17 +550,18 @@ def _toeplitz(seq: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return view.copy().reshape(rows * a, cols * b)
 
 
-def _forecasts(pred: Predictor, rec: np.ndarray, rows: int) -> np.ndarray:
-    """Row k is the window forecast e^{Ah} x_k + G w_k for k < rows, with w_k
-    the inputs held over steps k..k+N-1 (N >= 1): X e^{Ah}^T + W G^T. W's
-    rows are overlapping views of one contiguous copy of the record's input
-    column, so a row is N m wide and reads no state slot; they are taken a
-    chunk at a time so that the copy BLAS needs stays small."""
-    (n, m), N = pred.Bd.shape, pred.depth
-    out = rec[:rows, :n].dot(pred.exp_h.T)
-    inputs = np.ascontiguousarray(rec[:rows + N - 1, n + 1:])
-    windows = np.ndarray((rows, N * m), float, inputs, 0, (inputs.strides[0], inputs.itemsize))
-    chunk, gt = max(1, _FILL_BYTES // (8 * N * m)), pred.G.T
+def _forecasts(exp_h: np.ndarray, G: np.ndarray, rec: np.ndarray, rows: int) -> np.ndarray:
+    """Row k is the window forecast e^{Ah} x_k + G w_k for k < rows, with
+    (e^{Ah}, G) from :func:`_window_factors` and w_k the inputs held over
+    steps k..k+N-1 (N >= 1): X e^{Ah}^T + W G^T. W's rows are overlapping
+    views of one contiguous copy of the record's input column, so a row is
+    N m wide and reads no state slot; they are taken a chunk at a time so
+    that the copy BLAS needs stays small."""
+    (n, width), m = G.shape, rec.shape[1] - 1 - len(G)
+    out = rec[:rows, :n].dot(exp_h.T)
+    inputs = np.ascontiguousarray(rec[:rows + width // m - 1, n + 1:])
+    windows = np.ndarray((rows, width), float, inputs, 0, (inputs.strides[0], inputs.itemsize))
+    chunk, gt = max(1, _FILL_BYTES // (8 * width)), G.T
     for r0 in range(0, rows, chunk):
         out[r0:r0 + chunk] += windows[r0:r0 + chunk].dot(gt)
     return out

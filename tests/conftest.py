@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from delaycomp.control import Predictor
-from delaycomp.sim import matched_gain
+from delaycomp.control import delay_steps
+from delaycomp.sim import _window_factors, matched_gain
 from delaycomp.smallmat import mat_exp, zoh_discretize
 
 
@@ -22,10 +22,18 @@ def random_matrix(rng, n, max_norm):
     return a
 
 
-def window_forecast(pred, x, window):
-    """The window-form forecast e^{Ah} x + G w of ``pred`` from state ``x``
-    and the ``(N, m)`` window w of held inputs, oldest first."""
-    return pred.exp_h @ x + pred.G @ np.ravel(window)
+def plant_window(plant, dt):
+    """``sim._window_factors`` (e^{Ah}, G) of ``plant`` at step ``dt``, from
+    its own ZOH step and delay depth."""
+    return _window_factors(plant.A, zoh_discretize(plant.A, plant.B, dt)[1], dt, delay_steps(plant.h, dt))
+
+
+def window_forecast(factors, x, window):
+    """The window-form forecast e^{Ah} x + G w from the ``factors``
+    (e^{Ah}, G), the state ``x`` and the ``(N, m)`` window w of held inputs,
+    oldest first."""
+    exp_h, G = factors
+    return exp_h @ x + G @ np.ravel(window)
 
 
 def wrap_angle(a: float) -> float:
@@ -118,14 +126,18 @@ def run_oracle(scenario):
 
     Reference for ``sim.run``, which folds the setpoint and gain into one
     affine map, scans for divergence per block and fills the window-form
-    forecasts after the loop. Returns ``(t, states, controls, predictions,
-    status, t_d)``.
+    forecasts after the loop. The window form's factors are its own, one
+    exponential per grid time: e^{Ah} and G's blocks e^{A (N-1-i) dt} Bd,
+    oldest first. Returns ``(t, states, controls, predictions, status,
+    t_d)``.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n = scenario.dt, plant.n
     steps = round(scenario.T / dt)
-    pred = Predictor(plant, dt, zoh_discretize(plant.A, plant.B, dt))
-    N, Ad, Bd = pred.depth, pred.Ad, pred.Bd
+    N = delay_steps(plant.h, dt)
+    Ad, Bd = zoh_discretize(plant.A, plant.B, dt)
+    exp_h = mat_exp(plant.A, N * dt)
+    G = np.hstack([np.zeros((n, 0))] + [mat_exp(plant.A, (N - 1 - i) * dt) @ Bd for i in range(N)])
     lag = 0 if controller == "nodelay" else N
     Kd = matched_gain(plant, scenario.gain.K, dt, (Ad, Bd))
     gamma = zoh_discretize(-plant.A, plant.B, dt)[1]
@@ -144,10 +156,10 @@ def run_oracle(scenario):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             if controller == "predictor-window":
-                xhat = window_forecast(pred, x, history[k:N + k])
+                xhat = window_forecast((exp_h, G), x, history[k:N + k])
                 dev = xhat - x_star
             elif controller == "predictor-zform":
-                dev = pred.exp_h @ (x - x_star) + mat_exp(plant.A, t_arr[k]) @ (z[N + k] - z[k])
+                dev = exp_h @ (x - x_star) + mat_exp(plant.A, t_arr[k]) @ (z[N + k] - z[k])
                 xhat = x_star + dev
             else:
                 xhat = None

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from delaycomp import cli
-from delaycomp.control import Gain, Predictor, design_gain, make_setpoint, origin_setpoint
+from delaycomp.control import Gain, design_gain, make_setpoint, origin_setpoint
 from delaycomp.robot import LtiPlant, RobotParams, params_to_lti
 from delaycomp.sim import Scenario, run, sweep_delay
-from delaycomp.smallmat import is_hurwitz, mat_exp, zoh_discretize
+from delaycomp.smallmat import is_hurwitz, mat_exp
 
-from conftest import random_matrix, rk4_zoh_oracle, window_forecast
+from conftest import plant_window, random_matrix, rk4_zoh_oracle, window_forecast
 
 ROBOT_PARAMS = RobotParams(m=1.0, J=1.0, B_v=1.0, B_omega=2.0, l=0.5, k_m=2.0, k_d=4.0)
 
@@ -76,7 +76,7 @@ def test_criterion_2_prediction_exactness():
             plant = LtiPlant(a, b, depth * dt)
             holds = rng.uniform(-1.0, 1.0, (depth, n))
             x = rng.uniform(-1.0, 1.0, n)
-            predicted = window_forecast(Predictor(plant, dt, zoh_discretize(a, b, dt)), x, holds)
+            predicted = window_forecast(plant_window(plant, dt), x, holds)
             reference = rk4_zoh_oracle(a, b, x, holds, dt, substeps=1000)
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(predicted - reference)) <= 1e-9 * scale

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from delaycomp import control
 from delaycomp.control import (
     Gain,
-    Predictor,
     UnsupportedStructureError,
     delay_steps,
     design_gain,
@@ -17,10 +16,10 @@ from delaycomp.control import (
     origin_setpoint,
 )
 from delaycomp.robot import LtiPlant
-from delaycomp.sim import Scenario, _zform_factors, matched_gain, run
+from delaycomp.sim import Scenario, _window_factors, _zform_factors, matched_gain, run
 from delaycomp.smallmat import SingularMatrixError, mat_exp, zoh_discretize
 
-from conftest import random_matrix, rk4_zoh_oracle, window_forecast
+from conftest import plant_window, random_matrix, rk4_zoh_oracle, window_forecast
 
 ROBOT = LtiPlant(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0]), 0.3)
 
@@ -114,8 +113,9 @@ def control_record(scenario, traj):
     return np.vstack([np.tile(scenario.setpoint.u_star, (depth, 1)), traj.controls])
 
 
-class TestDelayLine:
-    """The delay line is the run's control record, indexed by step."""
+class TestInputRecord:
+    """The run's step-indexed record of held inputs: the plant reads the
+    control issued N = ``delay_steps(h, dt)`` rows earlier, u* before that."""
 
     def test_push_then_read_in_order(self):
         # the plant consumes the controls in the order they were issued,
@@ -154,7 +154,7 @@ class TestDelayLine:
         assert delay_steps(0.3, 0.001) == 300
         with pytest.raises(ValueError, match="multiple"):
             delay_steps(0.25, 0.1)
-        assert Predictor(ROBOT, 0.01, zoh_discretize(ROBOT.A, ROBOT.B, 0.01)).depth == 30
+        assert delay_steps(0.3, 0.01) == 30
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 30))
@@ -166,23 +166,23 @@ class TestDelayLine:
         sc = loop_scenario(plant, "predictor-window", dt, steps * dt, [0.5], ref=[0.2])
         traj, _ = run(sc)
         record = control_record(sc, traj)
-        pred = Predictor(plant, dt, zoh_discretize(plant.A, plant.B, dt))
+        factors = plant_window(plant, dt)
         for k in range(len(traj.t)):
-            np.testing.assert_allclose(window_forecast(pred, traj.states[k], record[k:k + depth]),
+            np.testing.assert_allclose(window_forecast(factors, traj.states[k], record[k:k + depth]),
                                        traj.predictions[k], rtol=1e-14, atol=1e-15)
 
 
-class TestPredictState:
+class TestWindowFactors:
+    """``sim._window_factors``: the window form's e^{Ah} and G."""
+
     def test_zero_delay(self):
         plant = scalar_plant(-1.0, 1.0, 0.0)
-        pred = Predictor(plant, 0.1, zoh_discretize(plant.A, plant.B, 0.1))
-        out = window_forecast(pred, np.array([1.0]), np.empty((0, 1)))
+        out = window_forecast(plant_window(plant, 0.1), np.array([1.0]), np.empty((0, 1)))
         assert out[0] == 1.0
 
     def test_zero_history_is_homogeneous(self):
         plant = LtiPlant(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0]), 0.3)
-        pred = Predictor(plant, 0.05, zoh_discretize(plant.A, plant.B, 0.05))
-        out = window_forecast(pred, np.array([1.0, 1.0]), np.zeros((6, 2)))
+        out = window_forecast(plant_window(plant, 0.05), np.array([1.0, 1.0]), np.zeros((6, 2)))
         expected = mat_exp(plant.A, 0.3) @ np.array([1.0, 1.0])
         np.testing.assert_allclose(out, expected, rtol=1e-13)
 
@@ -190,16 +190,15 @@ class TestPredictState:
         h = math.log(2.0)
         n = 8
         plant = scalar_plant(-1.0, 1.0, h)
-        pred = Predictor(plant, h / n, zoh_discretize(plant.A, plant.B, h / n))
-        out = window_forecast(pred, np.array([1.0]), np.full((n, 1), 2.0))
+        out = window_forecast(plant_window(plant, h / n), np.array([1.0]), np.full((n, 1), 2.0))
         assert out[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_mismatched_history(self):
         # the window length comes from (plant, dt), so a delay that no whole
-        # number of samples covers is rejected when the predictor is built
+        # number of samples covers is rejected when the scenario is built
         plant = scalar_plant(-1.0, 1.0, 0.25)
         with pytest.raises(ValueError, match="multiple"):
-            Predictor(plant, 0.1, zoh_discretize(plant.A, plant.B, 0.1))
+            loop_scenario(plant, "predictor-window", 0.1, 1.0, [1.0])
 
     def test_exact_against_brute_force(self, rng):
         for _ in range(10):
@@ -211,7 +210,7 @@ class TestPredictState:
             plant = LtiPlant(a, b, depth * dt)
             holds = rng.uniform(-1.0, 1.0, (depth, n))
             x = rng.uniform(-1.0, 1.0, n)
-            predicted = window_forecast(Predictor(plant, dt, zoh_discretize(a, b, dt)), x, holds)
+            predicted = window_forecast(plant_window(plant, dt), x, holds)
             reference = rk4_zoh_oracle(a, b, x, holds, dt, substeps=200)
             np.testing.assert_allclose(predicted, reference, rtol=1e-9, atol=1e-12)
 
@@ -226,22 +225,22 @@ class TestPredictState:
         else:
             a, b = np.array([[0.3, 20.0], [0.0, 0.3]]), np.array([[0.0], [1.0]])
         dt = 0.01
-        pred = Predictor(LtiPlant(a, b, depth * dt), dt, zoh_discretize(a, b, dt))
-        (n, m), block = b.shape, pred.Bd
+        Ad, block = zoh_discretize(a, b, dt)
+        G = _window_factors(a, block, dt, depth)[1]
+        n, m = b.shape
         expected = np.empty((n, depth * m))
         for i in reversed(range(depth)):
             expected[:, i * m:(i + 1) * m] = block
-            block = pred.Ad @ block
-        assert pred.G.shape == expected.shape
+            block = Ad @ block
+        assert G.shape == expected.shape
         scale = np.max(np.abs(expected), initial=0.0)
-        assert np.max(np.abs(pred.G - expected), initial=0.0) <= 1e-12 * scale
+        assert np.max(np.abs(G - expected), initial=0.0) <= 1e-12 * scale
 
 
 class TestRegulator:
     def test_fixed_point_at_setpoint(self):
         sp = make_setpoint(ROBOT, [1.0, 0.5])
-        pred = Predictor(ROBOT, 0.01, zoh_discretize(ROBOT.A, ROBOT.B, 0.01))
-        out = window_forecast(pred, sp.x_star, np.tile(sp.u_star, (30, 1)))
+        out = window_forecast(plant_window(ROBOT, 0.01), sp.x_star, np.tile(sp.u_star, (30, 1)))
         np.testing.assert_allclose(out, sp.x_star, atol=1e-12)
         traj, _ = run(loop_scenario(ROBOT, "predictor-window", 0.01, 0.5, sp.x_star, ref=sp.x_star))
         np.testing.assert_allclose(traj.controls, np.tile(sp.u_star, (len(traj.t), 1)), atol=1e-12)
@@ -295,16 +294,15 @@ class TestRegulator:
         # step as in the run loop, and check their forecasts coincide
         plant = LtiPlant(np.array([[-1.0, 0.5], [0.0, 0.3]]), np.array([[1.0], [0.5]]), 0.2)
         dt, steps = 0.05, 40
-        pred = Predictor(plant, dt, zoh_discretize(plant.A, plant.B, dt))
-        depth = pred.depth
+        factors, depth = plant_window(plant, dt), delay_steps(plant.h, dt)
         record = np.zeros((depth + steps, 1))
         record[depth:] = rng.uniform(-1.0, 1.0, (steps, 1))
         z = np.zeros((depth + steps + 1, 2))
         exp_t, z_gain = _zform_factors(plant.A, plant.B, dt, np.arange(steps) * dt)
         for k in range(steps):
             x = rng.uniform(-1.0, 1.0, 2)
-            window = window_forecast(pred, x, record[k:depth + k])
-            zform = pred.exp_h @ x + exp_t[k] @ (z[depth + k] - z[k])
+            window = window_forecast(factors, x, record[k:depth + k])
+            zform = factors[0] @ x + exp_t[k] @ (z[depth + k] - z[k])
             np.testing.assert_allclose(zform, window, rtol=1e-9, atol=1e-12)
             z[depth + k + 1] = z[depth + k] + z_gain[k] @ record[depth + k]
 

@@ -67,7 +67,7 @@ def fold_overflow_scenario(x0, T=6000.0):
                     dt=20.0, T=T, divergence_threshold=math.inf)
 
 
-class TestStepPlant:
+class TestExactZohStep:
     """The exact ZOH step the run loop takes, x+ = Ad x + Bd u."""
 
     def test_equilibrium(self):
@@ -150,7 +150,7 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-class TestDiscretize:
+class TestScenarioLoop:
     """Scenario.loop is the public pair (zoh_discretize, matched_gain) without
     zoh_discretize's checks, which the Scenario's plant already ran."""
 
@@ -529,6 +529,23 @@ class TestForecastForms:
             assert (traj.status, len(traj.t)) == (window.status, len(window.t))
             if metrics.max_prediction_error is not None:
                 assert metrics.max_prediction_error <= 1e-9 * (1.0 + np.max(np.abs(traj.states)))
+
+    @pytest.mark.parametrize("controller", ["predictor-zform", "naive", "nodelay"])
+    def test_only_window_form_builds_its_factors(self, monkeypatch, controller):
+        # the z form forms its own factors, never the window form's (criterion 5 checks one against
+        # the other), and naive and nodelay forecast nothing: with _window_factors refused, each run
+        # is bitwise the run without the refusal, and a window run fails
+        want, _ = run(robot_scenario(controller))
+
+        def refused(*args):
+            raise LookupError("window factors refused")
+        monkeypatch.setattr(sim, "_window_factors", refused)
+        got, _ = run(robot_scenario(controller))
+        assert (got.status, got.t_d) == (want.status, want.t_d)
+        for field in ("t", "states", "controls", "predictions"):
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+        with pytest.raises(LookupError, match="refused"):
+            run(robot_scenario("predictor-window"))
 
 
 def assert_matches_oracle(traj, reference):
