@@ -348,16 +348,15 @@ def main(argv=None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError:
-        # a run holds N + steps rows: name whichever of the two is larger
-        steps = round(config.horizon / config.dt)
-        depth = round((args.h_max if args.command == "sweep" else config.delay) / config.dt)
-        if depth <= steps:
+        # a run holds N + steps rows: name whichever of the two is longer, the delay or the horizon
+        delay = args.h_max if args.command == "sweep" else config.delay
+        if delay <= config.horizon:
             where, fix = "config keys 'horizon'/'dt'", "shorten horizon"
         elif args.command == "sweep":
             where, fix = "option --h-max", "lower --h-max"
         else:
             where, fix = "config key 'delay'", "shorten delay"
-        print(f"usage error: {where}: {max(depth, steps):.3g} steps do not fit in memory; "
+        print(f"usage error: {where}: {max(delay, config.horizon) / config.dt:.3g} steps do not fit in memory; "
               f"{fix} or raise dt", file=sys.stderr)
         return EXIT_USAGE
 

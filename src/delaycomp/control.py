@@ -19,6 +19,9 @@ its own factors.
 :func:`delay_steps` is the one place that turns a delay h into the step count
 N, and rejects a delay that is not an integer multiple of dt. A delay it
 accepts within 1e-9 s of N dt is simulated and forecast as N dt.
+``sim.Scenario`` calls it once and keeps N, which the run, its trajectory and
+its metrics read; ``cli.build_scenario`` also calls it, to name the ``delay``
+key before the plant is built.
 
 Nonzero setpoints are handled by an affine shift: with u* = -B^{-1} A x*, the
 shifted pair (x - x*, u - u*) satisfies the origin-stabilization problem, so

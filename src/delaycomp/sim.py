@@ -12,7 +12,7 @@ sampled loop the continuous closed loop at every sample time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -40,7 +40,10 @@ _FILL_BYTES = 1 << 19
 class Scenario:
     """One closed-loop run: plant, controller selection and sampling grid.
 
-    Every field is validated here, and ``loop`` formed once, so :func:`run` works on raw arrays.
+    Every field is validated here, and ``loop`` formed once, so :func:`run` works on raw arrays. The
+    grid is kept as two ints that the constructor does not take, the delay depth ``N`` from
+    :func:`delay_steps` and the step count ``steps``, T/dt rounded; :func:`run` reads them, and
+    ``dataclasses.replace`` forms both again.
     """
 
     plant: LtiPlant
@@ -52,6 +55,8 @@ class Scenario:
     T: float
     divergence_threshold: float = 1e6
     e_max: float | None = None
+    N: int = field(init=False)
+    steps: int = field(init=False)
 
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
@@ -60,11 +65,12 @@ class Scenario:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not (self.T >= self.dt and math.isfinite(self.T / self.dt)):
             raise ValueError(f"horizon T={self.T:g} must be >= dt and a finite number of dt={self.dt:g} steps")
+        object.__setattr__(self, "steps", round(self.T / self.dt))
         if not self.divergence_threshold > 0:
             raise ValueError("divergence_threshold must be > 0")
         if self.e_max is not None and not self.e_max > 0:
             raise ValueError("e_max must be > 0 when set")
-        delay_steps(self.plant.h, self.dt)
+        object.__setattr__(self, "N", delay_steps(self.plant.h, self.dt))
         n, m = self.plant.n, self.plant.m_in
         if self.gain.K.shape != (m, n):
             raise ValueError(f"gain shape {self.gain.K.shape} does not match plant ({m}, {n})")
@@ -90,8 +96,10 @@ class Trajectory:
     ``predictions[k]`` is the forecast of the state at t_k + h issued at t_k
     (NaN rows for non-predictor controllers). ``controls[k]`` is the control
     issued at t_k, which the plant receives at t_k + h (at once for nodelay).
-    ``t_d`` is the time of the state that ended a diverged run.
-    ``states`` and ``controls`` are strided views of the run's record.
+    ``t_d`` is the time of the state that ended a diverged run, and ``N``
+    the delay depth simulated, the scenario's (a forecast pairs row k with
+    row k + N). ``states`` and ``controls`` are strided views of the run's
+    record.
     """
 
     t: np.ndarray
@@ -101,7 +109,7 @@ class Trajectory:
     status: str  # "completed" | "diverged"
     t_d: float | None
     dt: float
-    h: float
+    N: int
     controller: str
 
 
@@ -142,7 +150,9 @@ def matched_gain(plant: LtiPlant, K: np.ndarray, dt: float, step: tuple[np.ndarr
 
 
 def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
-    """Simulate one scenario; returns the trajectory and its metrics.
+    """Simulate one scenario; returns the trajectory and its metrics. It
+    reads the step count and the delay depth N from the scenario, and
+    derives neither from h or T.
 
     The run lives in one record indexed by step, so no clock can drift. Row r
     holds (x_r, 1, v_r): the state, a constant 1 and the input held over step
@@ -177,9 +187,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     the recorded states and inputs.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
-    dt, n, m = scenario.dt, plant.n, plant.m_in
-    steps = round(scenario.T / dt)
-    N = delay_steps(plant.h, dt)
+    dt, n, m, steps, N = scenario.dt, plant.n, plant.m_in, scenario.steps, scenario.N
     lag = 0 if controller == "nodelay" else N
     # at N = 0 a forecast is the state, so every controller runs the undelayed loop
     window, zform = N > 0 and controller == "predictor-window", N > 0 and controller == "predictor-zform"
@@ -224,7 +232,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
                        else np.full((steps + 1, n), np.nan))
         block, block_step = _SCAN_BLOCK, None
         if zform:
-            block, row_step = _zform(scenario, N, Kd, c, rec, u_out, x_out, plant_map, predictions)
+            block, row_step = _zform(scenario, c, rec, u_out, x_out, plant_map, predictions)
         else:
             row_step = _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, scenario.e_max)
             if scenario.e_max is None:
@@ -258,7 +266,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
             status=status,
             t_d=t_d,
             dt=dt,
-            h=plant.h,
+            N=N,
             controller=scenario.controller,
         )
         return traj, compute_metrics(traj, sp)
@@ -474,7 +482,7 @@ def _defect(tau: np.ndarray, p: np.ndarray, N: int) -> float:
     return float(np.abs(p[L:] - np.matmul(taps, before)).sum(axis=(0, 2)).max())
 
 
-def _zform(scenario, N, Kd, c, rec, u_out, x_out, plant_map, predictions):
+def _zform(scenario, c, rec, u_out, x_out, plant_map, predictions):
     """(L, stepper) for the z form at N >= 1, the literal dynamic-regulator
     realization xhat(t+h) = e^{Ah} x(t) + e^{At} [z(t) - z(t-h)] through the
     running integral z(t) = integral_0^t e^{-As} B (u(s) - u*) ds, zero on
@@ -487,7 +495,7 @@ def _zform(scenario, N, Kd, c, rec, u_out, x_out, plant_map, predictions):
     at L = 1 no e^{-A dt} factor is used, and no factor grows with the
     horizon. The stepper writes each row's forecast into ``predictions``."""
     A, dt, x_star, u_star = scenario.plant.A, scenario.dt, scenario.setpoint.x_star, scenario.setpoint.u_star
-    e_max, Bd, pdot = scenario.e_max, scenario.loop[1], plant_map.dot
+    (_, Bd, Kd), N, e_max, pdot = scenario.loop, scenario.N, scenario.e_max, plant_map.dot
     block, n = _block_length(A, dt), len(A)
     # factors at times j dt from the block start, then at h; e^{A L dt} moves z on. Only the input factors at
     # j < L - 1 are read: none at L = 1, where they overflow (under run's errstate) once ||A||_inf dt passes 709
@@ -590,10 +598,9 @@ def compute_metrics(traj: Trajectory, setpoint: Setpoint) -> Metrics:
 
         max_prediction_error = None
         if traj.controller in ("predictor-zform", "predictor-window"):
-            n_delay = delay_steps(traj.h, traj.dt)
-            pairs = len(traj.states) - n_delay
+            pairs = len(traj.states) - traj.N
             if pairs > 0:  # none on a run that ends before h
-                issued, realized = traj.predictions[:pairs].T, traj.states[n_delay:].T
+                issued, realized = traj.predictions[:pairs].T, traj.states[traj.N:].T
                 max_prediction_error = float(np.max(_peaks(p - x for p, x in zip(issued, realized))))
     return Metrics(
         settled=settled,

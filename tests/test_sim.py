@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from delaycomp.control import (
     Gain,
     Setpoint,
+    delay_steps,
     design_gain,
     make_setpoint,
     origin_setpoint,
@@ -199,6 +200,45 @@ class TestScenarioLoop:
         assert all(map(same_bits, sc.loop, want))
 
 
+class TestScenarioGrid:
+    """The Scenario forms its grid once: N = delay_steps(h, dt) and steps =
+    T/dt rounded. run and compute_metrics read it, and replace forms it
+    again."""
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_delay_steps_called_once(self, monkeypatch, controller):
+        calls = []
+
+        def counted(h, dt):
+            calls.append((h, dt))
+            return delay_steps(h, dt)
+        monkeypatch.setattr(sim, "delay_steps", counted)
+        sc = robot_scenario(controller)
+        assert (sc.N, sc.steps) == (30, 1000) and calls == [(sc.plant.h, sc.dt)]
+        traj, metrics = run(sc)
+        assert compute_metrics(traj, sc.setpoint) == metrics
+        assert len(calls) == 1
+        assert traj.N == 30 and len(traj.t) == sc.steps + 1
+
+    def test_replace_forms_the_grid_again(self):
+        sc = robot_scenario("predictor-window")
+        short, deeper = replace(sc, T=sc.dt), replace(sc, plant=LtiPlant(sc.plant.A, sc.plant.B, 0.5))
+        assert (sc.N, sc.steps) == (30, 1000)
+        assert (short.N, short.steps) == (30, 1)
+        assert (deeper.N, deeper.steps) == (50, 1000)
+        traj, metrics = run(deeper)
+        assert traj.N == 50 and len(traj.t) == 1001 and metrics.max_prediction_error <= 1e-9
+
+    @pytest.mark.parametrize("name", ["N", "steps"])
+    def test_grid_is_not_an_argument(self, name):
+        sc = robot_scenario("naive")
+        given = {f.name: getattr(sc, f.name) for f in fields(Scenario) if f.init}
+        with pytest.raises(TypeError, match=name):
+            Scenario(**given, **{name: 3})
+        with pytest.raises(ValueError, match=name):
+            replace(sc, **{name: 3})
+
+
 class TestRun:
     def test_constant_at_setpoint(self):
         sc = robot_scenario("nodelay", x0=(1.0, 0.5), T=1.0)
@@ -302,7 +342,7 @@ class TestOffGridDelay:
     @pytest.mark.parametrize("controller", ["predictor-window", "predictor-zform"])
     def test_robot(self, controller):
         traj, metrics = run(robot_scenario(controller, h=0.3000000009, ref=(10.0, 5.0)))
-        assert traj.status == "completed"
+        assert traj.status == "completed" and traj.N == 30
         assert metrics.max_prediction_error <= 1e-9
 
     @pytest.mark.parametrize("gap", [-9e-10, 9e-10])
@@ -1070,7 +1110,7 @@ class TestOrderCheck:
 
 
 class TestMetrics:
-    def _trajectory(self, t, states, controller="naive", status="completed", h=0.0, dt=None):
+    def _trajectory(self, t, states, controller="naive", status="completed", N=0, dt=None):
         states = np.asarray(states, dtype=float)
         m = len(t)
         return Trajectory(
@@ -1081,7 +1121,7 @@ class TestMetrics:
             status=status,
             t_d=t[-1] if status == "diverged" else None,
             dt=dt if dt is not None else (t[1] - t[0] if m > 1 else 1.0),
-            h=h,
+            N=N,
             controller=controller,
         )
 
@@ -1122,7 +1162,7 @@ class TestMetrics:
         dt, depth = 0.1, 2
         t = np.arange(8) * dt
         states = np.column_stack([np.exp(-t), 0.5 * np.exp(-2.0 * t)])
-        traj = self._trajectory(t, states, controller="predictor-window", h=depth * dt, dt=dt)
+        traj = self._trajectory(t, states, controller="predictor-window", N=depth, dt=dt)
         traj.predictions = np.vstack([states[depth:], np.zeros((depth, 2))])
         traj.predictions[0, 0] += 0.25
         sp = Setpoint(np.zeros(2), np.zeros(2))
