@@ -171,20 +171,20 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
 
     The rows go in blocks. Each kind of stepping has a helper that builds its
     maps once per run and returns a stepper: ``_fold`` and ``_lift`` step
-    whole blocks of unclipped runs (at lag 0, and at lag N >= 1 by one
-    product per block from its first N rows where that pays for its set-up,
-    else in one pass per block, or two where the block map is not an
-    inverse to rounding), ``_steps`` and ``_zform`` (N >= 1) one step at a
-    time. ``_schedule`` names the spans of rows each stepper takes, and the
-    rows to clear before them; its docstring gives the span, re-step and end
-    rules. ``run`` clears and steps each span, checks it and sends the
-    schedule its first failing row: a state whose inf-norm exceeds the
-    threshold or is not finite, among rows k0 to k1 - 1, and for a span of
-    whole blocks also row k1 (but not the unrecorded row steps + 1) and the
-    controls. The run ends at the last failure sent, as diverged at that
-    state's time, or completes if there is none; a non-finite state is not
-    recorded. After the loop, the window form's forecasts are filled in from
-    the recorded states and inputs.
+    whole blocks unless the first control fails the check below (at lag 0, and
+    at lag N >= 1 by one product per block from its first N rows where that
+    pays for its set-up, else in one pass per block, or two where the block
+    map is not an inverse to rounding), ``_steps`` and ``_zform`` (N >= 1) one
+    step at a time, with the clip. ``_schedule`` names the spans of rows each
+    stepper takes, and the rows to clear before them; its docstring gives the
+    span, re-step and end rules. ``run`` clears and steps each span, checks it
+    and sends the schedule its first failing row: a state whose inf-norm
+    exceeds the threshold or is not finite, among rows k0 to k1 - 1, and for a
+    span of whole blocks also row k1 (but not the unrecorded row steps + 1)
+    and a control whose size is not below e_max (inf if unset). The run ends
+    at the last failure sent, as diverged at that state's time, or completes
+    if there is none; a non-finite state is not recorded. After the loop, the
+    window form's forecasts are filled in from the recorded states and inputs.
     """
     plant, sp, controller = scenario.plant, scenario.setpoint, scenario.controller
     dt, n, m, steps, N = scenario.dt, plant.n, plant.m_in, scenario.steps, scenario.N
@@ -193,6 +193,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
     window, zform = N > 0 and controller == "predictor-window", N > 0 and controller == "predictor-zform"
     # capped at the largest float so that a threshold of inf still stops on an infinite state
     limit = min(scenario.divergence_threshold, 1.7976931348623157e308)
+    u_limit = math.inf if scenario.e_max is None else scenario.e_max  # a whole span's controls stay below it
 
     d = n + 1 + m
     Ad, Bd, Kd = scenario.loop
@@ -235,7 +236,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
             block, row_step = _zform(scenario, c, rec, u_out, x_out, plant_map, predictions)
         else:
             row_step = _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, scenario.e_max)
-            if scenario.e_max is None:
+            if all(abs(u) < u_limit for u in control_map.dot(ctl_in[0]).tolist()):  # else row 0 fails its check
                 block, block_step = (_fold(rec, ctl_in, u_out, control_map, plant_map, Bd) if lag == 0 else
                                      _lift(rec, control_map, plant_map, _block_length(plant.A, dt), N))
 
@@ -248,7 +249,7 @@ def run(scenario: Scenario) -> tuple[Trajectory, Metrics]:
             # a whole span checks its last state and its controls too; row steps + 1 is not recorded
             ok = _peaks(rec[k0:min(k1 + whole, steps + 1), :n].T) <= limit
             if whole:
-                ok[:k1 - k0] &= np.isfinite(_peaks(u_out[k0:k1].T))
+                ok[:k1 - k0] &= _peaks(u_out[k0:k1].T) < u_limit
             r = int(np.argmin(ok))
             failure = None if ok[r] else (k0 + r, bool(np.abs(rec[k0 + r, :n]).max() <= limit))
         status, t_d, recorded = "completed", None, steps + 1
@@ -319,10 +320,10 @@ def _schedule(steps: int, block: int, whole: bool):
 
 
 def _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, e_max):
-    """Stepper of one step at a time: the control map writes u_k, clipped to
-    +-``e_max`` when set, and the ZOH step writes x_{k+1}. The products stay
-    separate: one over a wider slice would multiply zero coefficients by
-    past controls, and 0 * inf = NaN once a control has overflowed."""
+    """Stepper of one step at a time, for every span where the clip acts: the
+    control map writes u_k, clipped to +-``e_max`` when set, the ZOH step
+    x_{k+1}. The products stay separate: one over a wider slice would multiply
+    zero coefficients by past controls, and 0 * inf = NaN once one overflows."""
     cdot, pdot = control_map.dot, plant_map.dot
 
     def step(k0, k1):
@@ -335,8 +336,8 @@ def _steps(ctl_in, u_out, rec, x_out, control_map, plant_map, e_max):
 
 
 def _fold(rec, ctl_in, u_out, control_map, plant_map, Bd):
-    """(run length, stepper) for a lag-0 unclipped run, whose state is x
-    alone. With F the closed loop [Ad + Bd Kd | Bd c], a block's states
+    """(run length, stepper) for a lag-0 run, whose state is x alone, without
+    the clip. With F the closed loop [Ad + Bd Kd | Bd c], a block's states
     x_{k0+j} = F^j (x_{k0}, 1) come by doubling (F^(2^i) maps the first 2^i
     rows to the next 2^i), its controls by one product of the control map."""
     n, block = len(Bd), len(ctl_in)

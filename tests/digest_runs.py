@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python tests/digest_runs.py SEED COUNT
 
-Each line is ``SEED INDEX KIND STATUS ROWS DIGEST CONTROLLER N``; the digest
-hashes the run's t, states, controls, predictions, status, t_d and metrics, or
-names the exception its set-up raised, and N is the delay depth h/dt ("-" for
-what a raising set-up did not build). Point PYTHONPATH at another tree's
-``src`` and diff the two outputs: equal lines are bitwise-equal runs.
+Each line is ``SEED INDEX KIND STATUS ROWS DIGEST CONTROLLER N E_MAX``; the
+digest hashes the run's t, states, controls, predictions, status, t_d and
+metrics, or names the exception its set-up raised, N is the delay depth h/dt
+and E_MAX the clip limit, None when unset ("-" for what a raising set-up did
+not build). Point PYTHONPATH at another tree's ``src`` and diff the two
+outputs: equal lines are bitwise-equal runs.
 
 Even indices are mixed runs: random plants with n <= 3 (half diagonal, half
 coupled; B square or not), any of the four controllers, e_max in
@@ -64,20 +65,21 @@ def probe(rng) -> Scenario:
 
 
 def digest(scenario_of, rng) -> tuple[str, ...]:
-    """(status, rows, digest, controller, N) of one run, with the name of the exception that its set-up
-    raised in place of the digest."""
-    controller = N = "-"
+    """(status, rows, digest, controller, N, e_max) of one run, with the name of the exception that its
+    set-up raised in place of the digest."""
+    controller = N = e_max = "-"
     try:
         scenario = scenario_of(rng)
         controller, N = scenario.controller, str(delay_steps(scenario.plant.h, scenario.dt))
+        e_max = str(scenario.e_max)
         traj, metrics = run(scenario)
     except ValueError as exc:
-        return "raised", "-", type(exc).__name__, controller, N
+        return "raised", "-", type(exc).__name__, controller, N, e_max
     h = hashlib.sha256()
     for a in (traj.t, traj.states, traj.controls, traj.predictions):
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(repr((traj.status, traj.t_d, metrics)).encode())
-    return traj.status, str(len(traj.t)), h.hexdigest()[:20], controller, N
+    return traj.status, str(len(traj.t)), h.hexdigest()[:20], controller, N, e_max
 
 
 def main(seed: int, count: int) -> None:

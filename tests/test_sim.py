@@ -959,8 +959,8 @@ class TestLiftSteppers:
 
 class TestZeroDelay:
     """At h = 0 a forecast is the state, so every controller runs the
-    undelayed loop: the [Kd c] control map, in one fold block when unclipped
-    and one step at a time when clipped."""
+    undelayed loop: the [Kd c] control map, in one fold block unless the
+    first control reaches e_max, and then one step at a time."""
 
     @staticmethod
     def _taken(monkeypatch):
@@ -987,7 +987,7 @@ class TestZeroDelay:
             assert same_bits(traj.states, runs[0].states) and same_bits(traj.controls, runs[0].controls)
 
     @pytest.mark.parametrize("controller", CONTROLLERS)
-    @pytest.mark.parametrize("e_max,helper", [(None, "_fold"), (0.6, "_steps")])
+    @pytest.mark.parametrize("e_max,helper", [(None, "_fold"), (50.0, "_fold"), (0.6, "_steps")])
     def test_route(self, monkeypatch, controller, e_max, helper):
         taken = self._taken(monkeypatch)
         traj, _ = run(replace(robot_scenario(controller, h=0.0, T=5.0), e_max=e_max))
@@ -1007,6 +1007,46 @@ class TestZeroDelay:
     def test_zform_matches_reference(self, e_max):
         sc = replace(robot_scenario("predictor-zform", h=0.0, T=5.0), e_max=e_max)
         assert_matches_oracle(run(sc)[0], run_oracle(sc))
+
+
+class TestClipInBlocks:
+    """A run with e_max steps in fold or lifted blocks while its controls stay
+    below the limit; the span whose control first reaches it is stepped again
+    one step at a time, with the clip."""
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    @pytest.mark.parametrize("h", [0.0, 0.3])
+    def test_limit_never_reached_changes_no_bit(self, controller, h):
+        sc = robot_scenario(controller, h=h)
+        clipped, unclipped = run(replace(sc, e_max=50.0))[0], run(sc)[0]
+        assert np.max(np.abs(unclipped.controls)) < 50.0
+        for got, want in ((clipped.states, unclipped.states), (clipped.controls, unclipped.controls),
+                          (clipped.predictions, unclipped.predictions)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("controller,helper", [("nodelay", "_fold"), ("naive", "_lift"),
+                                                   ("predictor-window", "_lift")])
+    @pytest.mark.parametrize("row", [0, 127, 128, 129])
+    def test_clip_onset(self, monkeypatch, controller, helper, row):
+        # dx/dt = 0.3 x + u under K = -0.1: |u| grows at every row, so a limit half-way between
+        # |u_{r-1}| and |u_r| first clips u_r and clips every later control. Lifted blocks and
+        # _SCAN_BLOCK windows are 128 rows long here; a first control that clips builds no block map
+        built = []
+        for name in ("_fold", "_lift"):
+            monkeypatch.setattr(sim, name, lambda *args, name=name, made=getattr(sim, name):
+                                built.append(name) or made(*args))
+        plant = LtiPlant(np.array([[0.3]]), np.array([[1.0]]), 0.2)
+        sc = Scenario(plant=plant, gain=Gain(np.array([[-0.1]])), setpoint=origin_setpoint(plant),
+                      controller=controller, x0=np.array([1.0]), dt=0.01, T=10.0, divergence_threshold=math.inf)
+        assert _block_length(sc.plant.A, sc.dt) == _SCAN_BLOCK == 128
+        u = np.abs(run_oracle(sc)[2][:, 0])
+        assert np.all(np.diff(u) > 0)
+        e_max = (u[row - 1] + u[row]) / 2.0 if row else u[0] / 2.0
+        sc = replace(sc, e_max=e_max)
+        traj, _ = run(sc)
+        assert_matches_oracle(traj, run_oracle(sc))
+        assert np.all(np.abs(traj.controls[:row]) < e_max) and np.all(np.abs(traj.controls[row:]) == e_max)
+        assert built == ([helper] if row else [])
 
 
 # Completed, saturated, diverged and saturated-and-diverged robot runs: the
